@@ -202,25 +202,7 @@ func BenchmarkSteadyStateK8(b *testing.B) {
 	}
 }
 
-// Sparse vs dense on the same mid-size model.
-func BenchmarkSparseSolveDistributedK4(b *testing.B) {
-	app := workload.Default(20)
-	net, err := cluster.Distributed(4, app, cluster.Dists{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	s, err := NewSparseSolver(net, 4)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := s.Solve(20); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
+// A mid-size distributed model whose larger levels take the sparse LU.
 func BenchmarkDenseSolveDistributedK4(b *testing.B) {
 	app := workload.Default(20)
 	net, err := cluster.Distributed(4, app, cluster.Dists{})

@@ -160,29 +160,26 @@ func TestSolveDeadlineExceeded(t *testing.T) {
 	}
 }
 
-// The sparse solver honours the same boundaries and cancellation
-// contract as the dense one.
+// A sparse-factored solver honours the workload boundaries (N < K,
+// N = K, N > K) against the dense reference, and the cancellation
+// contract.
 func TestSparseBoundariesAndCancel(t *testing.T) {
-	net := twoStationNet(0.4)
-	s, err := NewSparseSolver(net, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dense := mustSolver(t, net, 3)
+	s := sparseFactoredSolver(t, 3)
+	ref := newDenseRef(t, s.Chain)
 	for _, n := range []int{1, 3, 7} {
 		rs, err := s.Solve(n)
 		if err != nil {
 			t.Fatal(err)
 		}
-		rd, err := dense.Solve(n)
-		if err != nil {
-			t.Fatal(err)
+		var want float64
+		for _, e := range ref.solve(t, n) {
+			want += e
 		}
-		approx(t, rs.TotalTime, rd.TotalTime, 1e-8, "sparse vs dense")
+		approx(t, rs.TotalTime, want, 1e-12, "sparse-factored vs dense reference")
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	if _, err := s.SolveCtx(ctx, 50); !errors.Is(err, check.ErrCanceled) {
-		t.Fatalf("sparse SolveCtx: %v, want ErrCanceled", err)
+		t.Fatalf("SolveCtx: %v, want ErrCanceled", err)
 	}
 }

@@ -136,42 +136,3 @@ func TestSolverMixedConcurrentUse(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-// SparseSolver caches τ lazily; concurrent use must stay correct.
-func TestSparseSolverConcurrentUse(t *testing.T) {
-	app := workload.Default(15)
-	net, err := cluster.Central(4, app, cluster.Dists{}, cluster.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	s, err := NewSparseSolver(net, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dense := mustSolver(t, net, 4)
-	want, err := dense.TotalTime(app.N)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var wg sync.WaitGroup
-	errs := make(chan error, 8)
-	for g := 0; g < 8; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			got, err := s.TotalTime(app.N)
-			if err != nil {
-				errs <- err
-				return
-			}
-			if math.Abs(got-want) > 1e-7*want {
-				errs <- errMismatch{got, want}
-			}
-		}()
-	}
-	wg.Wait()
-	close(errs)
-	for err := range errs {
-		t.Fatal(err)
-	}
-}

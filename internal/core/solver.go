@@ -86,8 +86,8 @@ type levelSolver struct {
 type workspace struct {
 	y          []float64 // left-solve result inside departInto
 	t          []float64 // post-departure vector inside feedInto
-	cur, next  []float64 // ping-pong state distributions
-	dcur, dnxt []float64 // drain-checkpoint distributions (SolveSweep)
+	cur, next  []float64 // ping-pong feeding-state distributions
+	dcur, dnxt []float64 // ping-pong draining-state distributions
 }
 
 // NewSolver builds the level chain for populations 1..K and factors
@@ -295,10 +295,9 @@ type Result struct {
 // Solve computes the transient solution for a workload of N tasks.
 // The first min(N, K) tasks enter at time zero; every departure is
 // replaced while tasks remain queued; then the system drains. For
-// N ≤ K the model is the paper's Case 1, otherwise Case 2. The epoch
-// loop ping-pongs two workspace buffers, so its cost per epoch is one
-// dot product, one left-solve and two vector-matrix products with no
-// allocations.
+// N ≤ K the model is the paper's Case 1, otherwise Case 2. Each epoch
+// costs one dot product, one left-solve and two vector-matrix
+// products with no allocations.
 func (s *Solver) Solve(n int) (*Result, error) {
 	return s.SolveCtx(context.Background(), n)
 }
@@ -308,49 +307,8 @@ func (s *Solver) Solve(n int) (*Result, error) {
 // of the loop is preserved) and returns a check.ErrCanceled-matching
 // error as soon as cancellation is observed.
 func (s *Solver) SolveCtx(ctx context.Context, n int) (*Result, error) {
-	if err := check.Count("core: workload size", n, 1); err != nil {
-		return nil, err
-	}
-	kStart := n
-	if kStart > s.K {
-		kStart = s.K
-	}
-	mSolves.Inc()
-	res := &Result{N: n, K: kStart, Epochs: make([]float64, 0, n), Departures: make([]float64, 0, n)}
-	ws := s.getWS()
-	defer s.putWS(ws)
-	cur, nxt := ws.cur, ws.next
-	pi := cur[:s.d(kStart)]
-	copy(pi, s.Chain.EntryVector(kStart))
-	queued := n - kStart
-	var clock float64
-	for k := kStart; k >= 1; {
-		if err := check.Canceled(ctx); err != nil {
-			return nil, err
-		}
-		mEpochs.Inc()
-		t := matrix.Dot(pi, s.levels[k].tau)
-		clock += t
-		res.Epochs = append(res.Epochs, t)
-		res.Departures = append(res.Departures, clock)
-		if queued > 0 {
-			out := nxt[:len(pi)]
-			s.feedInto(out, k, pi, ws)
-			pi = out
-			queued--
-		} else {
-			out := nxt[:s.d(k-1)]
-			s.departInto(out, k, pi, ws.y)
-			pi = out
-			k--
-		}
-		cur, nxt = nxt, cur
-	}
-	res.TotalTime = clock
-	if err := finiteResult("total time", clock); err != nil {
-		return nil, err
-	}
-	return res, nil
+	rs, errs := s.epochs(ctx, []int{n}, false)
+	return rs[0], errs[0]
 }
 
 // TotalTime is a convenience wrapper returning only E(T) for N tasks.
@@ -364,103 +322,29 @@ func (s *Solver) TotalTime(n int) (float64, error) {
 
 // SolveSweep computes the transient solution for every workload in ns
 // in a single feeding pass. The feeding epochs of Solve(n) are a
-// strict prefix of Solve(n′) for n ≤ n′ (both start from p_K and
+// strict prefix of Solve(n′) for K ≤ n ≤ n′ (both start from p_K and
 // apply Y_K·R_K per epoch), so the sweep advances one level-K state
 // distribution to each requested checkpoint and runs the K draining
 // epochs from a copy — O(max nᵢ + K·len(ns)) linear solves instead of
-// the O(Σ nᵢ) of repeated Solve calls. Workloads below K have no
-// feeding region to share and are solved individually.
+// the O(Σ nᵢ) of repeated Solve calls.
 //
 // Results are returned in the order of ns (which may be unsorted and
 // may contain duplicates) and are identical to per-N Solve outputs:
-// both paths run the same kernels in the same order.
+// both run the same epoch loop. On failure it returns the error of
+// the first failing workload in ns order.
 func (s *Solver) SolveSweep(ns []int) ([]*Result, error) {
 	return s.SolveSweepCtx(context.Background(), ns)
 }
 
 // SolveSweepCtx is SolveSweep under a context: cancellation is polled
-// once per feeding epoch and once per drain checkpoint, so a canceled
-// sweep returns a check.ErrCanceled-matching error promptly instead of
-// finishing the pass.
+// once per epoch, so a canceled sweep returns a check.ErrCanceled-
+// matching error promptly instead of finishing the pass.
 func (s *Solver) SolveSweepCtx(ctx context.Context, ns []int) ([]*Result, error) {
-	results := make([]*Result, len(ns))
-	targets := make([]int, 0, len(ns)) // indices into ns with ns[i] ≥ K
-	for i, n := range ns {
-		if err := check.Count("core: workload size", n, 1); err != nil {
+	results, errs := s.SolveSweepEachCtx(ctx, ns)
+	for _, err := range errs {
+		if err != nil {
 			return nil, err
 		}
-		if n < s.K {
-			r, err := s.SolveCtx(ctx, n)
-			if err != nil {
-				return nil, err
-			}
-			results[i] = r
-			continue
-		}
-		targets = append(targets, i)
-	}
-	if len(targets) == 0 {
-		return results, nil
-	}
-	sort.Slice(targets, func(a, b int) bool { return ns[targets[a]] < ns[targets[b]] })
-
-	ws := s.getWS()
-	defer s.putWS(ws)
-	K := s.K
-	dK := s.d(K)
-	cur, nxt := ws.cur, ws.next
-	pi := cur[:dK]
-	copy(pi, s.Chain.EntryVector(K))
-	feeds := 0
-	feedTimes := make([]float64, 0, ns[targets[len(targets)-1]]-K)
-	for _, idx := range targets {
-		n := ns[idx]
-		// Advance the shared feeding pass to this workload's checkpoint.
-		for feeds < n-K {
-			if err := check.Canceled(ctx); err != nil {
-				return nil, err
-			}
-			mEpochs.Inc()
-			t := matrix.Dot(pi, s.levels[K].tau)
-			feedTimes = append(feedTimes, t)
-			out := nxt[:dK]
-			s.feedInto(out, K, pi, ws)
-			pi = out
-			cur, nxt = nxt, cur
-			feeds++
-		}
-		// Replay the shared feeding prefix into this result …
-		mSweepCheckpoints.Inc()
-		res := &Result{N: n, K: K, Epochs: make([]float64, 0, n), Departures: make([]float64, 0, n)}
-		var clock float64
-		for _, t := range feedTimes[:n-K] {
-			clock += t
-			res.Epochs = append(res.Epochs, t)
-			res.Departures = append(res.Departures, clock)
-		}
-		// … then drain from a copy, leaving the pass ready to continue.
-		dpi := ws.dcur[:dK]
-		copy(dpi, pi)
-		dcur, dnxt := ws.dcur, ws.dnxt
-		for k := K; k >= 1; k-- {
-			if err := check.Canceled(ctx); err != nil {
-				return nil, err
-			}
-			mEpochs.Inc()
-			t := matrix.Dot(dpi, s.levels[k].tau)
-			clock += t
-			res.Epochs = append(res.Epochs, t)
-			res.Departures = append(res.Departures, clock)
-			out := dnxt[:s.d(k-1)]
-			s.departInto(out, k, dpi, ws.y)
-			dpi = out
-			dcur, dnxt = dnxt, dcur
-		}
-		res.TotalTime = clock
-		if err := finiteResult("total time", clock); err != nil {
-			return nil, err
-		}
-		results[idx] = res
 	}
 	return results, nil
 }
@@ -474,82 +358,94 @@ func (s *Solver) SolveSweepEach(ns []int) ([]*Result, []error) {
 // but reports success or failure per workload instead of failing the
 // whole sweep: an invalid ns[i] records a typed error at index i
 // without touching its neighbours, a numerical failure at one drain
-// checkpoint poisons only that checkpoint, and a cancellation (or any
-// feeding-pass failure) fails the current and every remaining larger
-// workload while already-completed checkpoints keep their results.
-// This is the batch scheduler's contract: one bad job in a group must
-// not discard the group's work. Both slices are parallel to ns;
-// exactly one of results[i], errs[i] is non-nil for every i.
+// checkpoint poisons only that checkpoint, and a cancellation fails
+// the current and every remaining larger workload while
+// already-completed checkpoints keep their results. This is the batch
+// scheduler's contract: one bad job in a group must not discard the
+// group's work. Both slices are parallel to ns; exactly one of
+// results[i], errs[i] is non-nil for every i.
 func (s *Solver) SolveSweepEachCtx(ctx context.Context, ns []int) ([]*Result, []error) {
+	return s.epochs(ctx, ns, true)
+}
+
+// epochs is the one feeding/draining epoch loop behind Solve and both
+// sweeps. Valid workloads are visited in ascending order. One level-K
+// state, started from p_K, is fed forward once for all of them; each
+// workload n ≥ K replays the shared feeding times and drains K, …, 1
+// from a copy of that state, and each n < K drains n, …, 1 from p_n
+// with no feeding. The summation order is that of a standalone
+// per-workload recursion, so every entry point returns the same bits.
+//
+// sweep selects the counter a workload lands in: a sweep entry point
+// counts its n ≥ K workloads as drain checkpoints, every other solve
+// counts in finwl_solves_total.
+func (s *Solver) epochs(ctx context.Context, ns []int, sweep bool) ([]*Result, []error) {
 	results := make([]*Result, len(ns))
 	errs := make([]error, len(ns))
-	targets := make([]int, 0, len(ns)) // indices into ns with ns[i] ≥ K
+	targets := make([]int, 0, len(ns)) // indices of valid workloads, ascending n
 	for i, n := range ns {
-		if err := check.Count("core: workload size", n, 1); err != nil {
-			errs[i] = err
-			continue
+		if errs[i] = check.Count("core: workload size", n, 1); errs[i] == nil {
+			targets = append(targets, i)
 		}
-		if n < s.K {
-			results[i], errs[i] = s.SolveCtx(ctx, n)
-			continue
-		}
-		targets = append(targets, i)
 	}
 	if len(targets) == 0 {
 		return results, errs
 	}
-	sort.Slice(targets, func(a, b int) bool { return ns[targets[a]] < ns[targets[b]] })
-	// failFrom marks the ti-th and all later (larger) targets failed:
-	// once the shared feeding state is unusable nothing downstream of
-	// it can be computed, but everything already checkpointed stands.
-	failFrom := func(ti int, err error) {
-		for _, idx := range targets[ti:] {
-			errs[idx] = err
-		}
-	}
+	sort.SliceStable(targets, func(a, b int) bool { return ns[targets[a]] < ns[targets[b]] })
 
 	ws := s.getWS()
 	defer s.putWS(ws)
 	K := s.K
-	dK := s.d(K)
+	last := len(targets) - 1
+	// feed holds the shared feeding-epoch times; the largest workload
+	// adopts it as its own Epochs, so a single solve copies nothing.
+	feed := make([]float64, 0, ns[targets[last]])
+	var pi []float64 // the shared level-K feeding state
 	cur, nxt := ws.cur, ws.next
-	pi := cur[:dK]
-	copy(pi, s.Chain.EntryVector(K))
-	feeds := 0
-	feedTimes := make([]float64, 0, ns[targets[len(targets)-1]]-K)
 	for ti, idx := range targets {
 		n := ns[idx]
-		// Advance the shared feeding pass to this workload's checkpoint.
-		for feeds < n-K {
+		kStart := min(n, K)
+		if n >= K && pi == nil {
+			pi = cur[:s.d(K)]
+			copy(pi, s.Chain.EntryVector(K))
+		}
+		for len(feed) < n-K {
 			if err := check.Canceled(ctx); err != nil {
-				failFrom(ti, err)
+				failFrom(errs, targets[ti:], err)
 				return results, errs
 			}
 			mEpochs.Inc()
-			t := matrix.Dot(pi, s.levels[K].tau)
-			feedTimes = append(feedTimes, t)
-			out := nxt[:dK]
+			feed = append(feed, matrix.Dot(pi, s.levels[K].tau))
+			out := nxt[:len(pi)]
 			s.feedInto(out, K, pi, ws)
 			pi = out
 			cur, nxt = nxt, cur
-			feeds++
 		}
-		// Replay the shared feeding prefix into this result …
-		mSweepCheckpoints.Inc()
-		res := &Result{N: n, K: K, Epochs: make([]float64, 0, n), Departures: make([]float64, 0, n)}
+		if sweep && n >= K {
+			mSweepCheckpoints.Inc()
+		} else {
+			mSolves.Inc()
+		}
+
+		res := &Result{N: n, K: kStart, Epochs: feed[:n-kStart], Departures: make([]float64, 0, n)}
+		if ti != last {
+			res.Epochs = append(make([]float64, 0, n), res.Epochs...)
+		}
 		var clock float64
-		for _, t := range feedTimes[:n-K] {
+		for _, t := range res.Epochs {
 			clock += t
-			res.Epochs = append(res.Epochs, t)
 			res.Departures = append(res.Departures, clock)
 		}
-		// … then drain from a copy, leaving the pass ready to continue.
-		dpi := ws.dcur[:dK]
-		copy(dpi, pi)
 		dcur, dnxt := ws.dcur, ws.dnxt
-		for k := K; k >= 1; k-- {
+		dpi := dcur[:s.d(kStart)]
+		if n < K {
+			copy(dpi, s.Chain.EntryVector(n))
+		} else {
+			copy(dpi, pi)
+		}
+		for k := kStart; k >= 1; k-- {
 			if err := check.Canceled(ctx); err != nil {
-				failFrom(ti, err)
+				failFrom(errs, targets[ti:], err)
 				return results, errs
 			}
 			mEpochs.Inc()
@@ -563,15 +459,22 @@ func (s *Solver) SolveSweepEachCtx(ctx context.Context, ns []int) ([]*Result, []
 			dcur, dnxt = dnxt, dcur
 		}
 		res.TotalTime = clock
-		if err := finiteResult("total time", clock); err != nil {
-			// The drain ran on copies; the feeding state is intact, so
-			// only this checkpoint is poisoned.
-			errs[idx] = err
-			continue
+		// The drain ran on a copy; a non-finite total poisons only
+		// this workload, never the shared feeding state.
+		if errs[idx] = finiteResult("total time", clock); errs[idx] == nil {
+			results[idx] = res
 		}
-		results[idx] = res
 	}
 	return results, errs
+}
+
+// failFrom records err for every listed workload: once the epoch loop
+// stops, nothing downstream of it can be computed, but everything
+// already checkpointed stands.
+func failFrom(errs []error, targets []int, err error) {
+	for _, idx := range targets {
+		errs[idx] = err
+	}
 }
 
 // TotalTimeSweep returns E(T) for every workload in ns via one

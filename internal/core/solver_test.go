@@ -192,10 +192,41 @@ func TestSolveSmallWorkload(t *testing.T) {
 	approx(t, r.TotalTime, want, 1e-10, "N<K total time")
 }
 
-func TestSolveRejectsBadN(t *testing.T) {
-	s := mustSolver(t, singleStation(statespace.Queue, phase.MustExpo(1)), 1)
+// The H2 sequential-queue identity at one point, K=3 and N=7, held to
+// the tolerance the iterative solver was held to.
+func TestSparseSingleQueueSequential(t *testing.T) {
+	svc := phase.MustHyperExpFit(2, 6)
+	net := singleStation(statespace.Queue, svc)
+	net.Stations[0].Name = "q"
+	total, err := mustSolver(t, net, 3).TotalTime(7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	approx(t, total, 7*svc.Mean(), 1e-8, "sequential queue")
+}
+
+func TestSparseRejectsBadInput(t *testing.T) {
+	net := singleStation(statespace.Queue, phase.MustExpo(1))
+	s := mustSolver(t, net, 2)
 	if _, err := s.Solve(0); err == nil {
 		t.Fatal("Solve(0) succeeded")
+	}
+	if _, err := NewSolver(net, 0); err == nil {
+		t.Fatal("NewSolver with K=0 succeeded")
+	}
+}
+
+func TestSolveRejectsBadN(t *testing.T) {
+	net := singleStation(statespace.Queue, phase.MustExpo(1))
+	s := mustSolver(t, net, 1)
+	if _, err := s.Solve(0); err == nil {
+		t.Fatal("Solve(0) succeeded")
+	}
+	if _, err := s.TotalTime(-2); err == nil {
+		t.Fatal("TotalTime(-2) succeeded")
+	}
+	if _, err := NewSolver(net, 0); err == nil {
+		t.Fatal("NewSolver with K=0 succeeded")
 	}
 }
 

@@ -11,12 +11,10 @@ import (
 	"finwl/internal/workload"
 )
 
-// SolveSweep must reproduce per-N Solve results to machine precision:
-// both paths run the same kernels in the same order, so the epoch
-// sequences agree to the last bit (the assertions allow a whisper of
-// relative slack in case a future refactor reassociates a sum).
+// SolveSweep and Solve must reproduce the per-workload reference
+// recursion bit for bit: the shared feeding pass runs the same kernels
+// and sums in the same order as a standalone solve.
 func TestSolveSweepMatchesSolve(t *testing.T) {
-	const relTol = 1e-13
 	cases := []struct {
 		name  string
 		dists cluster.Dists
@@ -47,28 +45,13 @@ func TestSolveSweepMatchesSolve(t *testing.T) {
 				t.Fatalf("got %d results for %d workloads", len(got), len(tc.ns))
 			}
 			for i, n := range tc.ns {
-				want, err := s.Solve(n)
+				want := refSolve(s, n)
+				sameResult(t, got[i], want)
+				one, err := s.Solve(n)
 				if err != nil {
 					t.Fatal(err)
 				}
-				r := got[i]
-				if r.N != n || r.K != want.K {
-					t.Fatalf("N=%d: header (N=%d, K=%d), want (N=%d, K=%d)", n, r.N, r.K, want.N, want.K)
-				}
-				if len(r.Epochs) != n || len(r.Departures) != n {
-					t.Fatalf("N=%d: %d epochs, %d departures", n, len(r.Epochs), len(r.Departures))
-				}
-				if !closeRel(r.TotalTime, want.TotalTime, relTol) {
-					t.Fatalf("N=%d: TotalTime %v, want %v", n, r.TotalTime, want.TotalTime)
-				}
-				for j := range want.Epochs {
-					if !closeRel(r.Epochs[j], want.Epochs[j], relTol) {
-						t.Fatalf("N=%d: epoch %d = %v, want %v", n, j, r.Epochs[j], want.Epochs[j])
-					}
-					if !closeRel(r.Departures[j], want.Departures[j], relTol) {
-						t.Fatalf("N=%d: departure %d = %v, want %v", n, j, r.Departures[j], want.Departures[j])
-					}
-				}
+				sameResult(t, one, want)
 			}
 		})
 	}
@@ -94,6 +77,9 @@ func TestSolveSweepRejectsBadWorkload(t *testing.T) {
 	}
 	if _, err := s.SolveSweep([]int{5, 0, 7}); err == nil {
 		t.Fatal("want error for workload 0")
+	}
+	if _, err := s.TotalTimeSweep([]int{5, -1}); err == nil {
+		t.Fatal("TotalTimeSweep: want error for workload -1")
 	}
 	if rs, err := s.SolveSweep(nil); err != nil || len(rs) != 0 {
 		t.Fatalf("empty sweep: %v, %d results", err, len(rs))
@@ -126,11 +112,10 @@ func TestTotalTimeSweep(t *testing.T) {
 	}
 }
 
-// SolveSweepEach must agree with per-N Solve on every healthy
-// workload and confine each bad workload to its own slot: the batch
-// scheduler depends on one poisoned job not discarding its group.
+// SolveSweepEach must reproduce the reference recursion on every
+// healthy workload and confine each bad workload to its own slot: the
+// batch scheduler depends on one poisoned job not discarding its group.
 func TestSolveSweepEachIsolatesFailures(t *testing.T) {
-	const relTol = 1e-13
 	app := workload.Default(30)
 	net, err := cluster.Central(4, app, cluster.Dists{}, cluster.Options{})
 	if err != nil {
@@ -159,22 +144,7 @@ func TestSolveSweepEachIsolatesFailures(t *testing.T) {
 		if errs[i] != nil {
 			t.Fatalf("ns[%d]=%d: unexpected error %v", i, n, errs[i])
 		}
-		want, err := s.Solve(n)
-		if err != nil {
-			t.Fatal(err)
-		}
-		r := results[i]
-		if r == nil || r.N != n || len(r.Epochs) != n {
-			t.Fatalf("ns[%d]=%d: malformed result %+v", i, n, r)
-		}
-		if !closeRel(r.TotalTime, want.TotalTime, relTol) {
-			t.Fatalf("ns[%d]=%d: TotalTime %v, want %v", i, n, r.TotalTime, want.TotalTime)
-		}
-		for j := range want.Epochs {
-			if !closeRel(r.Epochs[j], want.Epochs[j], relTol) {
-				t.Fatalf("ns[%d]=%d: epoch %d = %v, want %v", i, n, j, r.Epochs[j], want.Epochs[j])
-			}
-		}
+		sameResult(t, results[i], refSolve(s, n))
 	}
 }
 
@@ -229,28 +199,5 @@ func TestTauReturnsDefensiveCopy(t *testing.T) {
 	}
 	if before != after {
 		t.Fatalf("mutating Tau's result changed TotalTime: %v vs %v", before, after)
-	}
-
-	sp, err := NewSparseSolver(net, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	spBefore, err := sp.TotalTime(10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	stau, err := sp.Tau(3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range stau {
-		stau[i] = -1
-	}
-	spAfter, err := sp.TotalTime(10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if spBefore != spAfter {
-		t.Fatalf("mutating SparseSolver.Tau's result changed TotalTime: %v vs %v", spBefore, spAfter)
 	}
 }

@@ -2,8 +2,8 @@
 // pipeline: a catalogue of degenerate-input classes (NaN routing,
 // infinite rates, absorbing subchains, oversized populations, …) and
 // an Exercise driver that pushes a network through every public
-// pipeline — validation, traffic equations, product form, dense and
-// sparse transient solves, and the discrete-event simulator — under
+// pipeline — validation, traffic equations, product form, the
+// transient solver, and the discrete-event simulator — under
 // two invariants:
 //
 //  1. no panic escapes an exported entry point, and
@@ -115,7 +115,6 @@ func Exercise(net *network.Network, k, n int) error {
 		{"time-components", func() error { _, err := net.TimeComponents(); return err }},
 		{"product-form", func() error { _, err := productform.FromNetwork(net); return err }},
 		{"dense-solve", func() error { return densePipeline(ctx, net, k, n) }},
-		{"sparse-solve", func() error { return sparsePipeline(ctx, net, k, n) }},
 		{"simulate", func() error {
 			_, err := sim.RunCtx(ctx, sim.Config{Net: net, K: k, N: n, Seed: 1, MaxEvents: maxSimEvents})
 			return err
@@ -141,15 +140,6 @@ func densePipeline(ctx context.Context, net *network.Network, k, n int) error {
 		return err
 	}
 	_, _, err = s.SteadyStateCtx(ctx)
-	return err
-}
-
-func sparsePipeline(ctx context.Context, net *network.Network, k, n int) error {
-	s, err := core.NewSparseSolverCtx(ctx, net, k)
-	if err != nil {
-		return err
-	}
-	_, err = s.SolveCtx(ctx, n)
 	return err
 }
 
@@ -264,9 +254,10 @@ func Classes() []Class {
 	}
 }
 
-// ExerciseSolve drives the dense and sparse robust linear solvers on
-// an arbitrary matrix and right-hand side under the same contract:
-// typed failure or a finite solution, never a panic.
+// ExerciseSolve drives the dense robust linear solver and the
+// transient solver's level factorization on an arbitrary matrix and
+// right-hand side under the same contract: typed failure or a finite
+// solution, never a panic.
 func ExerciseSolve(a *matrix.Matrix, b []float64) error {
 	if v, failed := capture("dense-robust-solve", func() error {
 		x, _, err := matrix.SolveRobust(a, b)
@@ -294,7 +285,7 @@ func ExerciseSolve(a *matrix.Matrix, b []float64) error {
 	}
 	csr := builder.Build()
 	if v, _ := capture("sparse-robust-solve", func() error {
-		x, err := sparse.SolveIMinusP(csr, b, false, sparse.Options{})
+		x, err := levelSolve(csr, b)
 		if err != nil {
 			return err
 		}
@@ -303,4 +294,22 @@ func ExerciseSolve(a *matrix.Matrix, b []float64) error {
 		return v
 	}
 	return nil
+}
+
+// levelSolve solves (I−P)·x = b the way the transient solver factors a
+// level: the sparse no-pivot LU when it factors P and its condition
+// estimate is admissible, else the pivoted dense factorization, whose
+// singular and ill-conditioned failures are the typed errors.
+func levelSolve(p *sparse.CSR, b []float64) ([]float64, error) {
+	if f, err := sparse.FactorIMinusP(p); err == nil && f.Cond1Est() <= matrix.CondLimit {
+		return f.Solve(b), nil
+	}
+	fact, err := matrix.Factor(p.IMinusDense())
+	if err != nil {
+		return nil, err
+	}
+	if cond := fact.Cond1Est(); cond > matrix.CondLimit {
+		return nil, fmt.Errorf("faultcheck: condition estimate %.3g (limit %.3g): %w", cond, matrix.CondLimit, check.ErrSingular)
+	}
+	return fact.Solve(b), nil
 }

@@ -95,6 +95,25 @@ func TestExerciseSolveDegenerate(t *testing.T) {
 			a.Set(0, 1, 0.25)
 			return a
 		}, []float64{1, 2}},
+		// I − P with P substochastic: the level solve takes the sparse LU.
+		{"m-matrix", func() *matrix.Matrix {
+			a := matrix.Identity(2)
+			a.Set(0, 1, -0.5)
+			a.Set(1, 0, -0.25)
+			return a
+		}, []float64{1, 2}},
+		// The robust solve equilibrates a tiny pivot away; the level
+		// solve refuses it on its condition estimate, typed.
+		{"tiny-pivot", func() *matrix.Matrix {
+			a := matrix.Identity(2)
+			a.Set(1, 1, 1e-16)
+			return a
+		}, []float64{1, 1}},
+		{"vanishing-pivot", func() *matrix.Matrix {
+			a := matrix.Identity(2)
+			a.Set(1, 1, 1e-17)
+			return a
+		}, []float64{1, 1}},
 	}
 	for _, tc := range cases {
 		tc := tc

@@ -192,6 +192,11 @@ func TestRouterSpillover(t *testing.T) {
 		t.Fatal(err)
 	}
 	owner := f.router.ring.owner(serve.ShardKey(net, req.K))
+	// Stop the active prober first: its initial scrape runs as soon as
+	// the router starts and, on a loaded host, can land after the store
+	// below and reset the owner's queue depth to 0.
+	f.router.probeCancel()
+	<-f.router.probeDone
 	// Fake the load signals the prober would have scraped: the owner
 	// deep in queue and slow, everyone else idle.
 	f.router.reps[owner].queued.Store(50)

@@ -14,9 +14,6 @@ func TestChainRejectsBadPopulation(t *testing.T) {
 		if _, err := NewChain(n, k); !errors.Is(err, check.ErrInvalidModel) {
 			t.Fatalf("NewChain(maxK=%d) err = %v, want ErrInvalidModel", k, err)
 		}
-		if _, err := NewSparseChain(n, k); !errors.Is(err, check.ErrInvalidModel) {
-			t.Fatalf("NewSparseChain(maxK=%d) err = %v, want ErrInvalidModel", k, err)
-		}
 	}
 }
 
@@ -36,9 +33,6 @@ func TestChainCtxCanceled(t *testing.T) {
 	cancel()
 	if _, err := NewChainCtx(ctx, n, 6); !errors.Is(err, check.ErrCanceled) {
 		t.Fatalf("NewChainCtx(canceled) err = %v, want ErrCanceled", err)
-	}
-	if _, err := NewSparseChainCtx(ctx, n, 6); !errors.Is(err, check.ErrCanceled) {
-		t.Fatalf("NewSparseChainCtx(canceled) err = %v, want ErrCanceled", err)
 	}
 }
 

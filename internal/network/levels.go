@@ -95,22 +95,19 @@ const MaxPopulation = 255
 // a queue station's in-service phase index shares the byte encoding.
 const maxPhaseIndex = 255
 
-// Memory guards: the level-count DP (statespace.LevelSize) prices a
-// chain before anything is allocated, so a model that would exhaust
-// memory is rejected with ErrInvalidModel instead of dying in the
-// allocator. NewChain keeps the stricter entry budget because its
-// solver path may densify per-level factorizations
-// (Σ d_k² + 2·d_k·d_{k−1} float64s ≈ 2 GiB); NewSparseChain is bounded
-// by total enumerated states only.
-const (
-	maxDenseEntries = float64(1 << 28) // 268M float64s ≈ 2 GiB
-	maxSparseStates = float64(1 << 24) // ~16.8M states
-)
+// maxDenseEntries is the chain admission budget. The level-count DP
+// (statespace.ChainPrice) prices a chain before anything is allocated,
+// so a model that would exhaust memory is rejected with
+// ErrInvalidModel instead of dying in the allocator. The price assumes
+// every level may densify, because the solver falls back to dense
+// factorization of A_k = I − P_k when sparsity runs out
+// (Σ d_k² + 2·d_k·d_{k−1} + d_k float64s ≈ 2 GiB).
+const maxDenseEntries = 1 << 28
 
 // planChain sizes every level of the prospective chain without
 // enumerating it and rejects models whose construction could not
 // complete. It returns the per-level state counts for reuse.
-func planChain(space *statespace.Space, maxK int, dense bool) ([]int64, error) {
+func planChain(space *statespace.Space, maxK int) ([]int64, error) {
 	if maxK < 1 {
 		return nil, check.Invalid("network: chain needs maxK >= 1, got %d", maxK)
 	}
@@ -122,23 +119,13 @@ func planChain(space *statespace.Space, maxK int, dense bool) ([]int64, error) {
 			return nil, check.Invalid("network: station %d has %d phases, want <= %d", st, p, maxPhaseIndex+1)
 		}
 	}
+	if entries := space.ChainPrice(maxK); entries > maxDenseEntries {
+		return nil, check.Invalid("network: chain needs %.3g matrix entries (limit %.3g) — use a smaller model",
+			float64(entries), float64(maxDenseEntries))
+	}
 	sizes := make([]int64, maxK+1)
-	var states, entries float64
-	for k := 0; k <= maxK; k++ {
+	for k := range sizes {
 		sizes[k] = space.LevelSize(k)
-		d := float64(sizes[k])
-		states += d
-		if k > 0 {
-			entries += d*d + 2*d*float64(sizes[k-1]) + d
-		}
-	}
-	if dense && entries > maxDenseEntries {
-		return nil, check.Invalid(
-			"network: dense chain needs %.3g matrix entries (limit %.3g) — use the sparse chain or a smaller model",
-			entries, maxDenseEntries)
-	}
-	if !dense && states > maxSparseStates {
-		return nil, check.Invalid("network: chain has %.3g states (limit %.3g)", states, maxSparseStates)
 	}
 	return sizes, nil
 }
@@ -152,13 +139,6 @@ func NewChain(net *Network, maxK int) (*Chain, error) {
 // NewChainCtx is NewChain under a context: construction checks ctx
 // between work items and returns a check.ErrCanceled-matching error as
 // soon as cancellation or a deadline is observed.
-func NewChainCtx(ctx context.Context, net *Network, maxK int) (*Chain, error) {
-	return newChainCtx(ctx, net, maxK, true, "chain construction")
-}
-
-// newChainCtx builds the level ladder shared by NewChainCtx and
-// NewSparseChainCtx; the two differ only in the admission budget
-// (planChain) and the error label.
 //
 // Construction is parallel when it pays: the per-population state
 // spaces are enumerated first (each level's enumeration is
@@ -168,7 +148,7 @@ func NewChainCtx(ctx context.Context, net *Network, maxK int) (*Chain, error) {
 // embarrassingly parallel. par.ForCost drives the serial/parallel
 // cutover from the planner's per-level state counts and schedules the
 // largest levels first; small chains never pay the pool overhead.
-func newChainCtx(ctx context.Context, net *Network, maxK int, dense bool, label string) (*Chain, error) {
+func NewChainCtx(ctx context.Context, net *Network, maxK int) (*Chain, error) {
 	defer mChainBuild.Start().End()
 	allocObjects, allocBytes := heapAllocCounters()
 	defer func() {
@@ -180,7 +160,7 @@ func newChainCtx(ctx context.Context, net *Network, maxK int, dense bool, label 
 		return nil, err
 	}
 	space := net.Space()
-	sizes, err := planChain(space, maxK, dense)
+	sizes, err := planChain(space, maxK)
 	if err != nil {
 		return nil, err
 	}
@@ -198,7 +178,7 @@ func newChainCtx(ctx context.Context, net *Network, maxK int, dense bool, label 
 			return nil
 		})
 	if err != nil {
-		return nil, fmt.Errorf("network: %s: %w", label, err)
+		return nil, fmt.Errorf("network: chain construction: %w", err)
 	}
 	return c, nil
 }

@@ -2,7 +2,9 @@ package network
 
 import (
 	"fmt"
+	"math/rand"
 	"testing"
+	"testing/quick"
 
 	"finwl/internal/matrix"
 	"finwl/internal/phase"
@@ -46,7 +48,7 @@ func BuildDenseReference(net *Network, maxK int) (*DenseRefChain, error) {
 		return nil, err
 	}
 	space := net.Space()
-	if _, err := planChain(space, maxK, true); err != nil {
+	if _, err := planChain(space, maxK); err != nil {
 		return nil, err
 	}
 	states := make([]*statespace.Level, maxK+1)
@@ -141,6 +143,51 @@ func TestStructuredMatchesDenseReference(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// At one grid point the chain is bitwise the dense reference, well
+// inside 1e-14.
+func TestSparseChainMatchesDenseReference(t *testing.T) {
+	n := gridNet(2)
+	ref, err := BuildDenseReference(n, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := NewChain(n, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	CompareChainToDenseReference(t, c, ref, 1e-14)
+}
+
+// Property: the chain agrees with the dense reference on random
+// networks, too.
+func TestSparseChainMatchesDenseProperty(t *testing.T) {
+	f := func(seed int64) bool {
+		r := rand.New(rand.NewSource(seed))
+		n := randomExpNetwork(r, 1+r.Intn(3))
+		k := 1 + r.Intn(3)
+		ref, err := BuildDenseReference(n, k)
+		if err != nil {
+			return false
+		}
+		c, err := NewChain(n, k)
+		if err != nil {
+			return false
+		}
+		for lvl := 1; lvl <= k; lvl++ {
+			if c.Levels[lvl].P.Dense().MaxAbsDiff(ref.Levels[lvl].P) > 1e-13 {
+				return false
+			}
+			if c.Levels[lvl].R.Dense().MaxAbsDiff(ref.Levels[lvl].R) > 1e-13 {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
+		t.Fatal(err)
 	}
 }
 

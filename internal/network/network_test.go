@@ -342,3 +342,33 @@ func TestChainErrors(t *testing.T) {
 		t.Fatal("NewChain accepted invalid network")
 	}
 }
+
+// A fresh network is rejected at maxK=0 and, separately, when its
+// entry vector is not a distribution.
+func TestSparseChainErrors(t *testing.T) {
+	n := paperCentralNet(0.1, 0.5, 0.5, 1, 2, 3, 4)
+	if _, err := NewChain(n, 0); err == nil {
+		t.Fatal("accepted maxK=0")
+	}
+	bad := paperCentralNet(0.1, 0.5, 0.5, 1, 2, 3, 4)
+	bad.Entry[0] = 2
+	if _, err := NewChain(bad, 1); err == nil {
+		t.Fatal("accepted invalid network")
+	}
+}
+
+// The chain supports the NNZ accounting the solver's scaling argument
+// rests on: nnz per row stays bounded as D grows.
+func TestSparseChainNNZBounded(t *testing.T) {
+	n := paperCentralNet(0.1, 0.5, 0.5, 1, 2, 3, 4)
+	c, err := NewChain(n, 6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lvl := c.Levels[6]
+	d := lvl.States.Count()
+	perRow := float64(lvl.P.NNZ()) / float64(d)
+	if perRow > 30 {
+		t.Fatalf("P has %.1f nnz per row — construction is not sparse", perRow)
+	}
+}

@@ -15,7 +15,7 @@
 //     instrument itself;
 //   - two scopes: the package-level Default registry carries
 //     process-wide solver-stage metrics (chain construction, LU
-//     factorization, epoch kernels, BiCGSTAB), while components that
+//     factorization, epoch kernels), while components that
 //     need isolated counters (one serve.Server per test) create their
 //     own Registry and expose both on one /metrics endpoint.
 //

@@ -708,21 +708,21 @@ func (s *Server) runTier(ctx context.Context, rung Fidelity, net *network.Networ
 		if !reused {
 			rung = FidelityExact
 		}
+		// Both rungs run core's one epoch loop. The checkpoint rung
+		// enters it as a one-point sweep only so that
+		// finwl_sweep_checkpoints_total keeps counting answers from
+		// cached solvers.
 		var res *core.Result
 		if rung == FidelityCheckpoint {
-			// The incremental sweep path: one feeding pass over the
-			// already-factored chain with a drain checkpoint at n.
-			rs, err := solver.SolveSweepCtx(ctx, []int{n})
-			if err != nil {
-				return nil, err
+			var rs []*core.Result
+			if rs, err = solver.SolveSweepCtx(ctx, []int{n}); err == nil {
+				res = rs[0]
 			}
-			res = rs[0]
 		} else {
-			var err error
 			res, err = solver.SolveCtx(ctx, n)
-			if err != nil {
-				return nil, err
-			}
+		}
+		if err != nil {
+			return nil, err
 		}
 		return &Response{Fidelity: rung, TotalTime: res.TotalTime, Epochs: len(res.Epochs)}, nil
 

@@ -341,12 +341,20 @@ func (r *Request) dists() cluster.Dists {
 	return d
 }
 
+// maxWorkload bounds a request's n. An exact solve holds two n-long
+// result slices, so the cap keeps one request field from sizing an
+// allocation beyond the process (2^20 tasks is 16 MiB of epochs).
+const maxWorkload = 1 << 20
+
 // BuildNetwork resolves the request into a validated network. Every
 // failure matches a check sentinel (ErrInvalidModel for model
 // problems).
 func (r *Request) BuildNetwork() (*network.Network, error) {
 	if err := check.Count("serve: workload n", r.N, 1); err != nil {
 		return nil, err
+	}
+	if r.N > maxWorkload {
+		return nil, check.Invalid("serve: workload %d exceeds the supported maximum %d", r.N, maxWorkload)
 	}
 	if err := check.Count("serve: population k", r.K, 1); err != nil {
 		return nil, err

@@ -92,6 +92,7 @@ func TestBuildNetworkRejections(t *testing.T) {
 		req  Request
 	}{
 		{"zero-n", Request{Arch: "central", K: 3, N: 0}},
+		{"oversized-n", Request{Arch: "central", K: 3, N: 1 << 40}},
 		{"zero-k", Request{Arch: "central", K: 0, N: 5}},
 		{"oversized-k", Request{Arch: "central", K: 1 << 20, N: 5}},
 		{"unknown-arch", Request{Arch: "quantum", K: 3, N: 5}},

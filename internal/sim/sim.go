@@ -16,7 +16,6 @@ import (
 	"math"
 	"math/rand"
 	"sort"
-	"sync"
 
 	"finwl/internal/check"
 	"finwl/internal/network"
@@ -295,10 +294,7 @@ func ReplicateCtx(ctx context.Context, cfg Config, reps int) (*Replicated, error
 		return nil, check.Invalid("sim: need at least 2 replications, got %d", reps)
 	}
 	totals := make([]float64, reps)
-	epochSums := make([]float64, cfg.N)
-	depSums := make([]float64, cfg.N)
-
-	var mu sync.Mutex
+	deps := make([][]float64, reps) // per-replicate slots, reduced in index order
 	err := par.ForErr(ctx, reps, func(r int) error {
 		c := cfg
 		c.Seed = cfg.Seed + int64(r)
@@ -307,18 +303,21 @@ func ReplicateCtx(ctx context.Context, cfg Config, reps int) (*Replicated, error
 			return err
 		}
 		totals[r] = res.Total
-		mu.Lock()
-		prev := 0.0
-		for i, d := range res.Departures {
-			epochSums[i] += d - prev
-			depSums[i] += d
-			prev = d
-		}
-		mu.Unlock()
+		deps[r] = res.Departures
 		return nil
 	})
 	if err != nil {
 		return nil, err
+	}
+	epochSums := make([]float64, cfg.N)
+	depSums := make([]float64, cfg.N)
+	for _, ds := range deps {
+		prev := 0.0
+		for i, d := range ds {
+			epochSums[i] += d - prev
+			depSums[i] += d
+			prev = d
+		}
 	}
 	var mean, ss float64
 	for _, v := range totals {

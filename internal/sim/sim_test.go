@@ -76,6 +76,29 @@ func TestReplicateDeterministicUnderParallelism(t *testing.T) {
 			t.Fatalf("epoch %d differs between runs", i)
 		}
 	}
+
+	// The stream replications share the fan-out: open and closed mode.
+	for _, sc := range []StreamConfig{
+		{Net: n, K: 2, JobTasks: 3, Jobs: 3, Arrival: phase.MustExpo(0.5), Probes: []float64{1, 4}, Seed: 7},
+		{Net: n, K: 2, JobTasks: 3, Customers: 2, Think: phase.MustExpo(0.5), Probes: []float64{1, 4}, Seed: 7},
+	} {
+		x, err := ReplicateStream(sc, 64)
+		if err != nil {
+			t.Fatal(err)
+		}
+		y, err := ReplicateStream(sc, 64)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if x.MeanDrain != y.MeanDrain || x.DrainSE != y.DrainSE {
+			t.Fatalf("parallel ReplicateStream drain not deterministic: %v/%v vs %v/%v", x.MeanDrain, x.DrainSE, y.MeanDrain, y.DrainSE)
+		}
+		for i := range x.MeanTasks {
+			if x.MeanTasks[i] != y.MeanTasks[i] || x.TasksSE[i] != y.TasksSE[i] {
+				t.Fatalf("probe %d differs between stream runs", i)
+			}
+		}
+	}
 }
 
 func TestDeparturesSortedAndCounted(t *testing.T) {

@@ -14,7 +14,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sync"
 
 	"finwl/internal/check"
 	"finwl/internal/network"
@@ -327,7 +326,6 @@ func ReplicateStreamCtx(ctx context.Context, cfg StreamConfig, reps int) (*Strea
 	np := len(cfg.Probes)
 	tasks := make([][]float64, reps)
 	drains := make([]float64, reps)
-	var mu sync.Mutex
 	err := par.ForErr(ctx, reps, func(r int) error {
 		c := cfg
 		c.Seed = cfg.Seed + int64(r)
@@ -335,10 +333,8 @@ func ReplicateStreamCtx(ctx context.Context, cfg StreamConfig, reps int) (*Strea
 		if err != nil {
 			return err
 		}
-		mu.Lock()
 		tasks[r] = res.TasksAt
 		drains[r] = res.Drain
-		mu.Unlock()
 		return nil
 	})
 	if err != nil {

@@ -29,20 +29,6 @@ func BenchmarkVecMul5000(b *testing.B) {
 	}
 }
 
-func BenchmarkBiCGSTAB5000(b *testing.B) {
-	p := benchP(5000, 20)
-	rhs := make([]float64, 5000)
-	for i := range rhs {
-		rhs[i] = 1
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := SolveIMinusP(p, rhs, false, Options{Tol: 1e-10}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 func BenchmarkBuild100k(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		_ = benchP(5000, 20)

@@ -1,11 +1,11 @@
 // Package sparse provides compressed sparse row (CSR) matrices and
-// the iterative solvers the large-population transient solver needs.
+// the structured LU the transient solver factors its levels with.
 // The level matrices P_k, Q_k, R_k are extremely sparse — each state
 // has one outgoing entry per active service phase times routing
 // fan-out — so beyond a few thousand states the dense LU path in
 // internal/matrix stops being viable. This package keeps the same
 // left/right solve operations available at scale: matrix-vector
-// products over CSR plus a preconditioned BiCGSTAB.
+// products over CSR plus a no-pivot LU of I − P.
 package sparse
 
 import (
@@ -183,19 +183,6 @@ func (m *CSR) RowSums() []float64 {
 		for p := m.rowPtr[i]; p < m.rowPtr[i+1]; p++ {
 			out[i] += m.vals[p]
 		}
-	}
-	return out
-}
-
-// Diagonal returns the main diagonal as a slice.
-func (m *CSR) Diagonal() []float64 {
-	n := m.rows
-	if m.cols < n {
-		n = m.cols
-	}
-	out := make([]float64, n)
-	for i := 0; i < n; i++ {
-		out[i] = m.At(i, i)
 	}
 	return out
 }

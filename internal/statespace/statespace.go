@@ -541,16 +541,18 @@ func (s *Space) LevelSize(k int) int64 {
 	dp := make([]int64, k+1)
 	dp[0] = 1
 	next := make([]int64, k+1)
+	ways := make([]int64, k+1)
 	for st := range s.shapes {
 		for n := range next {
 			next[n] = 0
+			ways[n] = s.stationWays(st, n)
 		}
 		for have := 0; have <= k; have++ {
 			if dp[have] == 0 {
 				continue
 			}
 			for add := 0; have+add <= k; add++ {
-				if w := s.stationWays(st, add); w != 0 {
+				if w := ways[add]; w != 0 {
 					next[have+add] = satAdd(next[have+add], satMul(dp[have], w))
 				}
 			}

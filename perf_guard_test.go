@@ -6,10 +6,12 @@
 package finwl_test
 
 import (
+	"math"
 	"os"
 	"runtime"
 	"strconv"
 	"testing"
+	"time"
 
 	"finwl/internal/cluster"
 	"finwl/internal/core"
@@ -49,24 +51,43 @@ func TestPerfParallelConstructionGuard(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	build := func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := core.NewSolver(net, 8); err != nil {
-				b.Fatal(err)
-			}
+	build := func() {
+		if _, err := core.NewSolver(net, 8); err != nil {
+			t.Fatal(err)
 		}
 	}
-	parRes := testing.Benchmark(build)
-	old := runtime.GOMAXPROCS(1)
-	serRes := testing.Benchmark(build)
-	runtime.GOMAXPROCS(old)
+	parRes := testing.Benchmark(func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			build()
+		}
+	})
+
+	// Under `go test ./...` other test binaries share the host, and the
+	// load they add comes and goes. Timing all parallel builds first and
+	// all serial builds after would hand whichever side ran in the quiet
+	// spell the win, so short parallel and serial samples alternate and
+	// each path is judged by its fastest sample.
+	const rounds, perSample = 20, 4
+	sample := func() float64 {
+		start := time.Now()
+		for i := 0; i < perSample; i++ {
+			build()
+		}
+		return float64(time.Since(start).Nanoseconds()) / perSample
+	}
+	p, s := math.Inf(1), math.Inf(1)
+	for r := 0; r < rounds; r++ {
+		p = math.Min(p, sample())
+		old := runtime.GOMAXPROCS(1)
+		s = math.Min(s, sample())
+		runtime.GOMAXPROCS(old)
+	}
 
 	// 1.6x absorbs scheduler jitter and benchmark variance on loaded
 	// CI hosts; a real cutover regression (parallel overhead paid where
 	// it cannot win) shows up well past 2x on small levels.
 	const noise = 1.6
-	p, s := float64(parRes.NsPerOp()), float64(serRes.NsPerOp())
 	t.Logf("NewSolver K=8: parallel %.3f ms/op, serial %.3f ms/op, %d allocs/op",
 		p/1e6, s/1e6, parRes.AllocsPerOp())
 	if p > s*noise {

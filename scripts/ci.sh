@@ -72,6 +72,17 @@ if awk -v t="$total" -v f="$floor" 'BEGIN { exit !(t > f + 2) }'; then
     fi
 fi
 
+echo "== determinism at GOMAXPROCS=4 =="
+# Seeded results must not depend on the core count: rerun the packages
+# whose answers fan out over worker pools with more processors than
+# the race pass above may have had.
+GOMAXPROCS=4 go test -count=1 ./internal/core ./internal/sim ./internal/stream ./internal/batch
+
+echo "== perfbench module =="
+# perfbench is a separate module that compiles against the solver's
+# public API, so an API change must keep it building and passing.
+(cd perfbench && go vet ./... && go test ./...)
+
 echo "== serve resilience (-race, uncached) =="
 # The serving layer is concurrency-heavy (admission queue, breakers,
 # singleflight, drain); run its suite explicitly and uncached so the
