@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -102,18 +103,18 @@ func TestRunGroupsShareChains(t *testing.T) {
 	h := newCachingHooks()
 	var planJobs int
 	var planGroups []int
-	var doneCalls int
+	var doneCalls atomic.Int64 // OnJobDone runs on the group workers
 	prog := &Progress{
 		OnPlan:    func(jobs int, groupJobs []int) { planJobs, planGroups = jobs, groupJobs },
-		OnJobDone: func(done, total int) { doneCalls++ },
+		OnJobDone: func(done, total int) { doneCalls.Add(1) },
 	}
 	outcomes := New(h.hooks()).Run(context.Background(), jobs, prog)
 
 	if planJobs != len(jobs) || len(planGroups) != 2 || planGroups[0] != 4 || planGroups[1] != 2 {
 		t.Fatalf("plan: jobs=%d groups=%v", planJobs, planGroups)
 	}
-	if doneCalls != len(jobs) {
-		t.Fatalf("OnJobDone fired %d times, want %d", doneCalls, len(jobs))
+	if n := doneCalls.Load(); n != int64(len(jobs)) {
+		t.Fatalf("OnJobDone fired %d times, want %d", n, len(jobs))
 	}
 	if h.builds["A"] != 1 || h.builds["B"] != 1 {
 		t.Fatalf("chain builds per key: %v, want exactly 1 each", h.builds)

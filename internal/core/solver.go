@@ -38,7 +38,6 @@ import (
 	"finwl/internal/matrix"
 	"finwl/internal/network"
 	"finwl/internal/par"
-	"finwl/internal/sparse"
 )
 
 // finiteResult screens a scalar result boundary: a NaN/Inf mean time
@@ -123,16 +122,7 @@ func NewSolverFromChainCtx(ctx context.Context, chain *network.Chain) (*Solver, 
 	K := len(chain.Levels) - 1
 	s := &Solver{Chain: chain, K: K, levels: make([]*levelSolver, K+1)}
 	err := par.ForCost(ctx, K,
-		func(i int) int64 {
-			// Factorization cost scales with the level's d² accumulator
-			// scans (sparse path) up to d³ (dense fallback); d² in
-			// ForCost's tens-of-ns units is the conservative model.
-			d := int64(chain.Levels[K-i].States.Count())
-			if d > 1<<20 {
-				return par.MaxCost
-			}
-			return d * d
-		},
+		func(i int) int64 { return factorCost(chain.Levels[K-i]) },
 		func(i int) error {
 			k := K - i // biggest level first, for load balance
 			lvl := chain.Levels[k]
@@ -169,6 +159,21 @@ func NewSolverFromChainCtx(ctx context.Context, chain *network.Chain) (*Solver, 
 	return s, nil
 }
 
+// factorCost models a level's factorization in ForCost's tens-of-ns
+// units. A sparse refactorization costs its multiply-adds (a few ns
+// each) plus a pass over the L+U pattern and the rows; a dense one
+// about d³/3 multiply-adds.
+func factorCost(lvl *network.Level) int64 {
+	d := int64(lvl.States.Count())
+	if sparseWorthwhile(int(d), lvl.P.NNZ()) && lvl.Sym.NNZ() > 0 {
+		return lvl.Sym.Flops()/4 + int64(lvl.Sym.NNZ())/2 + d
+	}
+	if d > 1<<20 {
+		return par.MaxCost
+	}
+	return min(d*d*d/30, par.MaxCost)
+}
+
 // sparseWorthwhile decides whether a level's A_k = I − P_k should be
 // attempted with the sparse no-pivot LU: tiny systems are faster in
 // the dense ladder's cache-friendly kernels, and a level whose P is
@@ -178,7 +183,8 @@ func sparseWorthwhile(d, nnz int) bool {
 }
 
 // factorLevel produces the level-k factorization, preferring the
-// structured sparse elimination and falling back to the pivoted dense
+// structured sparse elimination — a numeric refactorization into the
+// level's memoized analysis — and falling back to the pivoted dense
 // ladder whenever sparsity, stability, or conditioning runs out. The
 // dense path owns error reporting, so the failure modes (and their
 // typed errors and messages) are exactly the historical dense ones.
@@ -187,7 +193,7 @@ func factorLevel(k int, lvl *network.Level) (factorization, error) {
 	defer span.End()
 	d := lvl.States.Count()
 	if sparseWorthwhile(d, lvl.P.NNZ()) {
-		if f, err := sparse.FactorIMinusP(lvl.P); err == nil {
+		if f, err := lvl.Sym.Factor(lvl.P); err == nil {
 			if f.Cond1Est() <= matrix.CondLimit {
 				mSparseFactors.Inc()
 				return f, nil

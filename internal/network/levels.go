@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"runtime"
 
-	"finwl/internal/arena"
 	"finwl/internal/check"
 	"finwl/internal/obs"
 	"finwl/internal/par"
@@ -67,6 +66,10 @@ func ChainBuildStats() (objects, bytes int64) {
 // service phase times routing fan-out, so the natural representation
 // is sparse at every scale. Consumers that need the dense per-level
 // system A_k = I − P_k materialize it with sparse.CSR.IMinusDense.
+//
+// States, the patterns of P, Q and R, and Sym are shared by every
+// chain of the same shape and must not be modified; the values are
+// the chain's own.
 type Level struct {
 	K      int
 	States *statespace.Level
@@ -74,6 +77,9 @@ type Level struct {
 	P      *sparse.CSR
 	Q      *sparse.CSR // D(k) × D(k−1)
 	R      *sparse.CSR // D(k−1) × D(k)
+	// Sym is the sparse-LU analysis of A_k = I − P_k: the elimination
+	// order and the L/U patterns, ready for Sym.Factor(P).
+	Sym *sparse.Symbolic
 }
 
 // Chain is the full ladder of level matrices for populations 1..K,
@@ -140,13 +146,22 @@ func NewChain(net *Network, maxK int) (*Chain, error) {
 // between work items and returns a check.ErrCanceled-matching error as
 // soon as cancellation or a deadline is observed.
 //
-// Construction is parallel when it pays: the per-population state
-// spaces are enumerated first (each level's enumeration is
-// independent), then the level matrices are generated across a worker
-// pool — level k only reads the network, the space layout, and the
-// immutable state lists of levels k−1 and k, so the levels are
-// embarrassingly parallel. par.ForCost drives the serial/parallel
-// cutover from the planner's per-level state counts and schedules the
+// Construction has a symbolic and a numeric phase. Everything but the
+// values of a chain depends only on its shape — maxK, the station
+// layout, and which routing, entry, exit and service parameters are
+// zero — so the symbolic phase (state enumeration, the CSR patterns of
+// P/Q/R, a tape mapping every emitted weight to its value slot, and
+// the sparse-LU analysis of every level) runs once per shape and is
+// memoized (see shapeMemo). The numeric phase runs for every network:
+// it replays the emitted weights' arithmetic from the network's
+// parameters into fresh value arrays over the shared patterns. A
+// shape seen for the first time is recorded and then filled by the
+// same numeric phase, so a memo hit and a miss build identical chains.
+//
+// Both phases fan out over levels: level k only reads the network, the
+// layout, and the immutable state lists of levels k−1 and k, so the
+// levels are embarrassingly parallel. par.ForCost drives the
+// serial/parallel cutover from per-level cost models and schedules the
 // largest levels first; small chains never pay the pool overhead.
 func NewChainCtx(ctx context.Context, net *Network, maxK int) (*Chain, error) {
 	defer mChainBuild.Start().End()
@@ -159,37 +174,24 @@ func NewChainCtx(ctx context.Context, net *Network, maxK int) (*Chain, error) {
 	if err := net.Validate(); err != nil {
 		return nil, err
 	}
-	space := net.Space()
-	sizes, err := planChain(space, maxK)
+	th := newParams(net)
+	var keyBuf [128]byte
+	sh, err := shapes.get(ctx, th.appendKey(keyBuf[:0], net, maxK), func() (*chainShape, error) {
+		return recordChain(ctx, net, th, maxK)
+	})
 	if err != nil {
 		return nil, err
 	}
-	c := &Chain{Net: net, Space: space, Levels: make([]*Level, maxK+1)}
-	states, err := enumerateLevels(ctx, space, maxK, sizes)
-	if err != nil {
-		return nil, err
-	}
-	c.Levels[0] = &Level{K: 0, States: states[0]}
-	err = par.ForCost(ctx, maxK,
-		func(i int) int64 { return levelBuildCost(sizes, i+1) },
-		func(i int) error {
-			k := i + 1
-			c.Levels[k] = buildLevel(net, space, k, states[k-1], states[k])
-			return nil
-		})
-	if err != nil {
-		return nil, fmt.Errorf("network: chain construction: %w", err)
-	}
-	return c, nil
+	return sh.fill(ctx, net, th.theta)
 }
 
-// levelBuildCost models the matrix-generation work of level k from the
+// levelRecordCost models the symbolic work of level k from the
 // planner's state counts: every level-k state is visited with a
 // handful of events, each costing a state copy plus a binary-search
 // index lookup, and every level-(k−1) state seeds the arrival matrix.
 // The constants put the unit near ForCost's "tens of ns" convention;
 // they only need to be right within a small factor for the cutover.
-func levelBuildCost(sizes []int64, k int) int64 {
+func levelRecordCost(sizes []int64, k int) int64 {
 	c := sizes[k]*96 + sizes[k-1]*32
 	if c < 0 || c > par.MaxCost {
 		return par.MaxCost
@@ -227,210 +229,167 @@ func (c *Chain) EntryVector(k int) []float64 {
 	return pi
 }
 
-// levelSink receives the transition weights of one level as they are
-// generated. The production sink assembles CSR directly; tests plug in
-// a dense sink to hold the structured build to the dense reference.
-// Every generator loop walks destination rows in non-decreasing order
-// (the R pass iterates level-(k−1) states ascending, the M/P/Q pass
-// iterates level-k states ascending), which is the contract that lets
-// the CSR sink stream rows without a global sort.
-type levelSink interface {
-	setM(i int, rate float64)
-	addP(i, j int, w float64)
-	addQ(i, jPrev int, w float64)
-	addR(iPrev, j int, w float64)
+// factors names the parameters one emitted weight multiplies: the
+// weight is base·θ[f[0]]·θ[f[1]]·θ[f[2]]·θ[f[3]], evaluated left to
+// right, where base is 1 for an arrival (R_k) and the emitting unit's
+// share rate/total for an event (P_k, Q_k). Unused factors name θ[0],
+// which is exactly 1, so padding never changes a bit of the product.
+type factors [4]int32
+
+// weight evaluates one emitted weight. The explicit conversion rounds
+// the product before any caller adds it, so no platform fuses the
+// last multiply into that addition.
+func weight(base float64, th []float64, f *factors) float64 {
+	return float64(base * th[f[0]] * th[f[1]] * th[f[2]] * th[f[3]])
 }
 
-// csrSink streams one level's weights into row-ordered CSR builders.
-type csrSink struct {
-	m       []float64
-	p, q, r *sparse.RowBuilder
+// unitRate is the total rate of an active unit: count customers, each
+// completing at rate θ[rate].
+func unitRate(th []float64, rate, count int32) float64 {
+	return float64(count) * th[rate]
 }
 
-func (s *csrSink) setM(i int, rate float64) { s.m[i] = rate }
-func (s *csrSink) addP(i, j int, w float64) { s.p.Add(i, j, w) }
-func (s *csrSink) addQ(i, j int, w float64) { s.q.Add(i, j, w) }
-func (s *csrSink) addR(i, j int, w float64) { s.r.Add(i, j, w) }
-
-// buildWS is the per-builder scratch a level generation needs: two
-// state-width vectors and three CSR row builders. Workspaces are
-// pooled — each concurrent builder checks one out, generates any
-// number of levels with it, and returns it — so steady-state chain
-// construction allocates only what escapes into the finished Level.
-type buildWS struct {
-	scratch, depart []int
-	p, q, r         *sparse.RowBuilder
+// activeUnit is one independently-completing exponential phase of a
+// state: every occupied phase of a delay station, the in-service phase
+// of a non-empty queue, the busy servers of a multi-server station.
+type activeUnit struct {
+	st, ph int
+	count  int32 // customers completing at the phase's rate
+	rate   int32 // θ index of the per-customer rate
 }
 
-var buildPool = arena.Pool[buildWS]{New: func() *buildWS { return &buildWS{} }}
-
-// prepare sizes the workspace for a d×dPrev level over states of the
-// given width, reusing prior storage where it fits.
-func (ws *buildWS) prepare(width, d, dPrev int) {
-	ws.scratch = arena.Ints(ws.scratch, width)
-	ws.depart = arena.Ints(ws.depart, width)
-	if ws.p == nil {
-		ws.p = sparse.NewRowBuilder(d, d)
-		ws.q = sparse.NewRowBuilder(d, dPrev)
-		ws.r = sparse.NewRowBuilder(dPrev, d)
-		return
-	}
-	ws.p.Reset(d, d)
-	ws.q.Reset(d, dPrev)
-	ws.r.Reset(dPrev, d)
+// levelVisitor receives the structure of one level's weights as the
+// walker generates it: every arrival into R_k and every event out of
+// a level-k state into P_k or Q_k, with the parameters its weight
+// multiplies. Rows arrive in ascending order in both passes (the R
+// pass walks level-(k−1) states, the event pass level-k states), which
+// is the contract that lets patterns stream rows without a global
+// sort.
+type levelVisitor interface {
+	arrival(i, j int, f factors)             // R_k[i][j] += 1·θ…
+	row(si int, units []activeUnit)          // M_k/P_k/Q_k row si begins
+	unit(u int)                              // events of units[u] follow
+	event(toQ bool, si, j, u int, f factors) // P_k or Q_k += w0_u·θ…
 }
 
-func buildLevel(net *Network, space *statespace.Space, k int, prev, cur *statespace.Level) *Level {
-	d := cur.Count()
-	dPrev := prev.Count()
-	ws := buildPool.Get()
-	ws.prepare(space.Width(), d, dPrev)
-	lvl := &Level{
-		K:      k,
-		States: cur,
-		MDiag:  make([]float64, d),
-	}
-	emitLevel(net, space, prev, cur,
-		&csrSink{m: lvl.MDiag, p: ws.p, q: ws.q, r: ws.r},
-		ws.scratch, ws.depart)
-	lvl.P = ws.p.Build()
-	lvl.Q = ws.q.Build()
-	lvl.R = ws.r.Build()
-	buildPool.Put(ws)
-	return lvl
-}
-
-// emitLevel generates every M/P/Q/R weight of one population level.
-// scratch and depart are caller-provided state-width work vectors
-// (distinct, content ignored); nothing passed to the sink outlives the
-// call. Weights for the same (row, column) pair are emitted in a fixed
-// order, so accumulating sinks agree bitwise whatever their storage.
-func emitLevel(net *Network, space *statespace.Space, prev, cur *statespace.Level, sink levelSink, scratch, depart []int) {
+// walkLevel generates the structure of every M/P/Q/R weight of one
+// population level: which states an event connects and which
+// parameters its weight multiplies. Every branch that skips an event
+// tests its parameter with params.live, the predicate the memo key is
+// built from, so a shape's recorded structure is exactly what any
+// network with that key emits. scratch and depart are caller-provided
+// state-width work vectors (distinct, content ignored).
+func walkLevel(net *Network, space *statespace.Space, th *params, prev, cur *statespace.Level, v levelVisitor, scratch, depart []int) {
 	d := cur.Count()
 	dPrev := prev.Count()
 
-	// addArrival distributes weight w over the states reached when a
-	// task arrives at station dst with the system in `state`, calling
-	// emit for each target state. It builds targets in scratch and
-	// never writes state, so callers may pass the depart buffer.
-	addArrival := func(state []int, dst int, w float64, emit func(target []int, w float64)) {
-		st := net.Stations[dst]
-		switch st.Kind {
+	// arrive lists the states reached when a task arrives at station
+	// dst with the system in state, completing f (n factors used) with
+	// the entry-phase probability where the arrival fans out over
+	// phases. It builds targets in scratch and never writes state, so
+	// callers may pass the depart buffer.
+	arrive := func(state []int, dst int, f factors, n int, emit func(target []int, f factors)) {
+		sp := th.stations[dst]
+		switch net.Stations[dst].Kind {
 		case statespace.Delay:
-			for ph, a := range st.Service.Alpha {
-				if a == 0 {
+			for ph := 0; ph < sp.dim; ph++ {
+				if f[n] = sp.alpha + int32(ph); !th.live(f[n]) {
 					continue
 				}
 				copy(scratch, state)
 				space.SetDelayCount(scratch, dst, ph, space.DelayCount(scratch, dst, ph)+1)
-				emit(scratch, w*a)
+				emit(scratch, f)
 			}
 		case statespace.Queue:
-			n := space.QueueCount(state, dst)
-			if n == 0 {
+			n0 := space.QueueCount(state, dst)
+			if n0 == 0 {
 				// The arriving task goes straight into service.
-				for ph, a := range st.Service.Alpha {
-					if a == 0 {
+				for ph := 0; ph < sp.dim; ph++ {
+					if f[n] = sp.alpha + int32(ph); !th.live(f[n]) {
 						continue
 					}
 					copy(scratch, state)
 					space.SetQueue(scratch, dst, 1, ph)
-					emit(scratch, w*a)
+					emit(scratch, f)
 				}
 			} else {
 				copy(scratch, state)
-				space.SetQueue(scratch, dst, n+1, space.QueuePhase(state, dst))
-				emit(scratch, w)
+				space.SetQueue(scratch, dst, n0+1, space.QueuePhase(state, dst))
+				emit(scratch, f)
 			}
 		case statespace.Multi:
 			copy(scratch, state)
 			space.SetMultiCount(scratch, dst, space.MultiCount(state, dst)+1)
-			emit(scratch, w)
+			emit(scratch, f)
 		}
 	}
 
 	// R_k: arrivals into level k−1 states.
 	for i := 0; i < dPrev; i++ {
 		state := prev.State(i)
-		for e, pe := range net.Entry {
-			if pe == 0 {
+		for e := range net.Stations {
+			pe := th.entry + int32(e)
+			if !th.live(pe) {
 				continue
 			}
-			addArrival(state, e, pe, func(target []int, w float64) {
-				sink.addR(i, cur.MustIndex(target), w)
+			arrive(state, e, factors{pe}, 1, func(target []int, f factors) {
+				v.arrival(i, cur.MustIndex(target), f)
 			})
 		}
 	}
 
-	// M_k, P_k, Q_k: events out of level k states. The active units of a
-	// state are walked once into a reusable buffer — the total rate
-	// accumulates in the same visit order as a second walk would use, so
-	// the division by total stays bitwise identical — and the emission
-	// loop then replays the buffer.
+	// M_k, P_k, Q_k: events out of level k states.
+	m := len(net.Stations)
 	units := make([]activeUnit, 0, maxActiveUnits(net))
 	for si := 0; si < d; si++ {
 		state := cur.State(si)
-
-		var total float64
-		units = units[:0]
-		forEachActiveUnit(net, space, state, func(st, ph int, rate float64) {
-			units = append(units, activeUnit{st: st, ph: ph, rate: rate})
-			total += rate
-		})
-		sink.setM(si, total)
-
-		for _, u := range units {
-			st, ph := u.st, u.ph
-			w0 := u.rate / total
-			svc := net.Stations[st].Service
+		units = activeUnits(net, space, th, state, units[:0])
+		v.row(si, units)
+		for u, au := range units {
+			v.unit(u)
+			st, ph := au.st, au.ph
+			sp := th.stations[st]
 
 			// Internal phase movement within the station.
-			for ph2 := 0; ph2 < svc.Dim(); ph2++ {
-				tp := svc.Trans.At(ph, ph2)
-				if tp == 0 {
+			for ph2 := 0; ph2 < sp.dim; ph2++ {
+				tp := sp.trans + int32(ph*sp.dim+ph2)
+				if !th.live(tp) {
 					continue
 				}
 				moved := moveWithinStation(net, space, state, st, ph, ph2, depart)
-				sink.addP(si, cur.MustIndex(moved), w0*tp)
+				v.event(false, si, cur.MustIndex(moved), u, factors{tp})
 			}
 
-			done := svc.ExitProb(ph)
-			if done == 0 {
+			done := sp.exit + int32(ph)
+			if !th.live(done) {
 				continue
 			}
 			// Remove the completing customer from the station; for a
 			// queue with waiting customers the successor's starting
 			// phase fans out over the entry vector. base is the depart
-			// buffer, which addArrival leaves untouched.
-			forEachPostCompletion(net, space, state, st, ph, depart, func(base []int, bw float64) {
+			// buffer, which arrive leaves untouched.
+			forEachPostCompletion(net, space, th, state, st, ph, depart, func(base []int, bw int32) {
 				// Route to the next station …
-				for dst := 0; dst < len(net.Stations); dst++ {
-					r := net.Route.At(st, dst)
-					if r == 0 {
+				for dst := 0; dst < m; dst++ {
+					r := th.route + int32(st*m+dst)
+					if !th.live(r) {
 						continue
 					}
-					addArrival(base, dst, w0*done*bw*r, func(target []int, w float64) {
-						sink.addP(si, cur.MustIndex(target), w)
+					arrive(base, dst, factors{done, bw, r}, 3, func(target []int, f factors) {
+						v.event(false, si, cur.MustIndex(target), u, f)
 					})
 				}
 				// … or leave the system.
-				if e := net.Exit[st]; e > 0 {
-					sink.addQ(si, prev.MustIndex(base), w0*done*bw*e)
+				if e := th.exit + int32(st); th.live(e) {
+					v.event(true, si, prev.MustIndex(base), u, factors{done, bw, e})
 				}
 			})
 		}
 	}
 }
 
-// activeUnit is one independently-completing exponential phase of a
-// state, as visited by forEachActiveUnit.
-type activeUnit struct {
-	st, ph int
-	rate   float64
-}
-
-// maxActiveUnits bounds how many units forEachActiveUnit can visit in
-// any state: every phase of each delay station, one unit per queue or
+// maxActiveUnits bounds how many units activeUnits can list in any
+// state: every phase of each delay station, one unit per queue or
 // multi-server station.
 func maxActiveUnits(net *Network) int {
 	n := 0
@@ -444,35 +403,31 @@ func maxActiveUnits(net *Network) int {
 	return n
 }
 
-// forEachActiveUnit visits every independently-completing exponential
-// phase in the state with its aggregate rate: each occupied phase of
-// a delay station (rate count·µ) and the in-service phase of each
-// non-empty queue station (rate µ).
-func forEachActiveUnit(net *Network, space *statespace.Space, state []int, f func(st, ph int, rate float64)) {
+// activeUnits appends the active units of state to units, in station
+// and phase order — the order the total event rate M_k accumulates in.
+func activeUnits(net *Network, space *statespace.Space, th *params, state []int, units []activeUnit) []activeUnit {
 	for st := range net.Stations {
-		svc := net.Stations[st].Service
+		sp := th.stations[st]
 		switch net.Stations[st].Kind {
 		case statespace.Delay:
-			for ph := 0; ph < svc.Dim(); ph++ {
+			for ph := 0; ph < sp.dim; ph++ {
 				if c := space.DelayCount(state, st, ph); c > 0 {
-					f(st, ph, float64(c)*svc.Rates[ph])
+					units = append(units, activeUnit{st: st, ph: ph, count: int32(c), rate: sp.rate + int32(ph)})
 				}
 			}
 		case statespace.Queue:
 			if n := space.QueueCount(state, st); n > 0 {
 				ph := space.QueuePhase(state, st)
-				f(st, ph, svc.Rates[ph])
+				units = append(units, activeUnit{st: st, ph: ph, count: 1, rate: sp.rate + int32(ph)})
 			}
 		case statespace.Multi:
 			if n := space.MultiCount(state, st); n > 0 {
-				busy := n
-				if c := net.Stations[st].Servers; busy > c {
-					busy = c
-				}
-				f(st, 0, float64(busy)*svc.Rates[0])
+				busy := min(n, net.Stations[st].Servers)
+				units = append(units, activeUnit{st: st, count: int32(busy), rate: sp.rate})
 			}
 		}
 	}
+	return units
 }
 
 // moveWithinStation returns the state after one customer at (st, ph)
@@ -492,26 +447,28 @@ func moveWithinStation(net *Network, space *statespace.Space, state []int, st, p
 }
 
 // forEachPostCompletion removes the customer completing service at
-// (st, ph) and emits the resulting station state(s) with weights: a
-// single state for delay stations and empty-after queues, and one
-// state per successor entry phase for queues with waiting customers.
-func forEachPostCompletion(net *Network, space *statespace.Space, state []int, st, ph int, buf []int, emit func(base []int, w float64)) {
-	svc := net.Stations[st].Service
+// (st, ph) and emits the resulting station state(s) with the θ index
+// of their weight: a single state (weight θ[0] = 1) for delay stations
+// and empty-after queues, and one state per successor entry phase for
+// queues with waiting customers.
+func forEachPostCompletion(net *Network, space *statespace.Space, th *params, state []int, st, ph int, buf []int, emit func(base []int, bw int32)) {
 	switch net.Stations[st].Kind {
 	case statespace.Delay:
 		copy(buf, state)
 		space.SetDelayCount(buf, st, ph, space.DelayCount(buf, st, ph)-1)
-		emit(buf, 1)
+		emit(buf, 0)
 	case statespace.Queue:
 		n := space.QueueCount(state, st)
 		if n == 1 {
 			copy(buf, state)
 			space.SetQueue(buf, st, 0, 0)
-			emit(buf, 1)
+			emit(buf, 0)
 			return
 		}
-		for ph2, a := range svc.Alpha {
-			if a == 0 {
+		sp := th.stations[st]
+		for ph2 := 0; ph2 < sp.dim; ph2++ {
+			a := sp.alpha + int32(ph2)
+			if !th.live(a) {
 				continue
 			}
 			copy(buf, state)
@@ -521,6 +478,6 @@ func forEachPostCompletion(net *Network, space *statespace.Space, state []int, s
 	case statespace.Multi:
 		copy(buf, state)
 		space.SetMultiCount(buf, st, space.MultiCount(state, st)-1)
-		emit(buf, 1)
+		emit(buf, 0)
 	}
 }

@@ -134,16 +134,47 @@ func TestLUSingular(t *testing.T) {
 // A sparse matrix whose elimination densifies past the budget resigns
 // with ErrFill instead of grinding through a dense-sized factorization
 // (the caller falls back to the blocked dense LU, which wins there).
+// The budget is judged on the symbolic fill of the chosen order: the
+// first matrix densifies past it in natural order but not under
+// minimum degree, the second under both.
 func TestLUFillBudget(t *testing.T) {
-	const n = 200
-	r := rand.New(rand.NewSource(1))
-	b := NewBuilder(n, n)
-	for i := 0; i < n; i++ {
-		for c := 0; c < 4; c++ {
-			b.Add(i, r.Intn(n), 0.2)
+	randomP := func(n, perRow int) *CSR {
+		r := rand.New(rand.NewSource(1))
+		b := NewBuilder(n, n)
+		for i := 0; i < n; i++ {
+			for c := 0; c < perRow; c++ {
+				b.Add(i, r.Intn(n), 0.8/float64(perRow))
+			}
 		}
+		return b.Build()
 	}
-	if _, err := FactorIMinusP(b.Build()); !errors.Is(err, ErrFill) {
+	p := randomP(200, 4)
+	nat, err := analyze(&p.Pattern, orderNatural)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := nat.Factor(p); !errors.Is(err, ErrFill) {
+		t.Fatalf("natural order: err = %v, want ErrFill", err)
+	}
+	f, err := FactorIMinusP(p)
+	if err != nil {
+		t.Fatalf("minimum-degree order: %v", err)
+	}
+	if f.sym.natural() {
+		t.Fatal("analysis kept natural order although it overflows the budget")
+	}
+	b := make([]float64, p.Rows())
+	for i := range b {
+		b[i] = float64(i%7) - 3
+	}
+	dense, err := matrix.Factor(p.IMinusDense())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d := matrix.NormInf(matrix.VecSub(f.Solve(b), dense.Solve(b))); d > 1e-9 {
+		t.Fatalf("minimum-degree solve differs from dense by %g", d)
+	}
+	if _, err := FactorIMinusP(randomP(400, 6)); !errors.Is(err, ErrFill) {
 		t.Fatalf("err = %v, want ErrFill", err)
 	}
 }

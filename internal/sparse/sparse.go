@@ -15,12 +15,42 @@ import (
 	"finwl/internal/matrix"
 )
 
+// Pattern is the immutable structure of a CSR matrix: its dimensions,
+// row pointers and ascending column indices, without values. Matrices
+// built over one Pattern share its arrays, which is how the level
+// chains of networks with the same shape share one structure.
+type Pattern struct {
+	rows, cols int
+	rowPtr     []int32
+	colIdx     []int32
+}
+
+// Rows returns the row count.
+func (p *Pattern) Rows() int { return p.rows }
+
+// Cols returns the column count.
+func (p *Pattern) Cols() int { return p.cols }
+
+// NNZ returns the number of stored entries.
+func (p *Pattern) NNZ() int { return len(p.colIdx) }
+
+// Bytes returns the memory held by the pattern's arrays.
+func (p *Pattern) Bytes() int64 { return 4 * int64(len(p.rowPtr)+len(p.colIdx)) }
+
+// WithValues returns the matrix with this structure and the given
+// stored values, one per entry in row-major order. vals is shared, not
+// copied.
+func (p *Pattern) WithValues(vals []float64) *CSR {
+	if len(vals) != len(p.colIdx) {
+		panic(fmt.Sprintf("sparse: %d values for a pattern of %d entries", len(vals), len(p.colIdx)))
+	}
+	return &CSR{Pattern: *p, vals: vals}
+}
+
 // CSR is an immutable compressed-sparse-row matrix.
 type CSR struct {
-	rows, cols int
-	rowPtr     []int
-	colIdx     []int
-	vals       []float64
+	Pattern
+	vals []float64
 }
 
 // Builder accumulates coordinate-format entries; duplicates are
@@ -66,7 +96,7 @@ func (b *Builder) Build() *CSR {
 		}
 		return b.js[ox] < b.js[oy]
 	})
-	m := &CSR{rows: b.rows, cols: b.cols, rowPtr: make([]int, b.rows+1)}
+	m := &CSR{Pattern: Pattern{rows: b.rows, cols: b.cols, rowPtr: make([]int32, b.rows+1)}}
 	lastI, lastJ := -1, -1
 	for _, o := range order {
 		i, j, v := b.is[o], b.js[o], b.vs[o]
@@ -74,7 +104,7 @@ func (b *Builder) Build() *CSR {
 			m.vals[len(m.vals)-1] += v
 			continue
 		}
-		m.colIdx = append(m.colIdx, j)
+		m.colIdx = append(m.colIdx, int32(j))
 		m.vals = append(m.vals, v)
 		lastI, lastJ = i, j
 		m.rowPtr[i+1]++
@@ -85,20 +115,12 @@ func (b *Builder) Build() *CSR {
 	return m
 }
 
-// Rows returns the row count.
-func (m *CSR) Rows() int { return m.rows }
-
-// Cols returns the column count.
-func (m *CSR) Cols() int { return m.cols }
-
-// NNZ returns the number of stored entries.
-func (m *CSR) NNZ() int { return len(m.vals) }
-
 // At returns the value at (i, j); O(log nnz(row i)).
 func (m *CSR) At(i, j int) float64 {
-	lo, hi := m.rowPtr[i], m.rowPtr[i+1]
-	idx := sort.SearchInts(m.colIdx[lo:hi], j)
-	if lo+idx < hi && m.colIdx[lo+idx] == j {
+	lo, hi := int(m.rowPtr[i]), int(m.rowPtr[i+1])
+	cols := m.colIdx[lo:hi]
+	idx := sort.Search(len(cols), func(q int) bool { return int(cols[q]) >= j })
+	if idx < len(cols) && int(cols[idx]) == j {
 		return m.vals[lo+idx]
 	}
 	return 0
@@ -192,7 +214,7 @@ func (m *CSR) Transpose() *CSR {
 	b := NewBuilder(m.cols, m.rows)
 	for i := 0; i < m.rows; i++ {
 		for p := m.rowPtr[i]; p < m.rowPtr[i+1]; p++ {
-			b.Add(m.colIdx[p], i, m.vals[p])
+			b.Add(int(m.colIdx[p]), i, m.vals[p])
 		}
 	}
 	return b.Build()
@@ -203,7 +225,7 @@ func (m *CSR) Dense() *matrix.Matrix {
 	d := matrix.New(m.rows, m.cols)
 	for i := 0; i < m.rows; i++ {
 		for p := m.rowPtr[i]; p < m.rowPtr[i+1]; p++ {
-			d.Set(i, m.colIdx[p], m.vals[p])
+			d.Set(i, int(m.colIdx[p]), m.vals[p])
 		}
 	}
 	return d

@@ -229,10 +229,10 @@ func (s *Space) Key(state []int) string {
 // Enumerate verifies — so lookups are allocation-free binary searches
 // instead of string-keyed map probes.
 type Level struct {
-	Space  *Space
-	K      int
-	slab   []int // all state vectors, row-major, lexicographic order
-	states [][]int
+	Space *Space
+	K     int
+	slab  []int // all state vectors, row-major, lexicographic order
+	n     int   // state count
 	// keys packs each state into one uint64 (big-endian, one byte per
 	// slot) when the layout permits — slot values are then comparable
 	// as single integers and Index degenerates to a binary search over
@@ -267,7 +267,7 @@ func (s *Space) Enumerate(k int) *Level {
 	state := make([]int, s.width)
 	l.enumerate(state, 0, k)
 	n := len(l.slab) / s.width
-	l.states = make([][]int, n)
+	l.n = n
 	packable := s.width <= 8 && k <= 255
 	for _, sh := range s.shapes {
 		if sh.Phases > 256 {
@@ -277,17 +277,16 @@ func (s *Space) Enumerate(k int) *Level {
 	if packable {
 		l.keys = make([]uint64, n)
 	}
-	for i := range l.states {
-		l.states[i] = l.slab[i*s.width : (i+1)*s.width : (i+1)*s.width]
-		if i > 0 && compareStates(l.states[i-1], l.states[i]) >= 0 {
+	for i := 0; i < n; i++ {
+		if i > 0 && compareStates(l.State(i-1), l.State(i)) >= 0 {
 			panic(fmt.Sprintf("statespace: enumeration order broken at level %d, state %d", k, i))
 		}
 		if packable {
-			l.keys[i] = packState(l.states[i])
+			l.keys[i] = packState(l.State(i))
 		}
 	}
 	mLevels.Inc()
-	mLevelStates.Observe(int64(len(l.states)))
+	mLevelStates.Observe(int64(n))
 	return l
 }
 
@@ -364,11 +363,17 @@ func (l *Level) enumerateDelay(state []int, st, off, ph, remaining int) {
 }
 
 // Count returns the number of states at this level, D(k).
-func (l *Level) Count() int { return len(l.states) }
+func (l *Level) Count() int { return l.n }
 
 // State returns state i. The returned slice is shared; callers must
 // copy before mutating.
-func (l *Level) State(i int) []int { return l.states[i] }
+func (l *Level) State(i int) []int {
+	w := l.Space.width
+	return l.slab[i*w : (i+1)*w : (i+1)*w]
+}
+
+// Bytes returns the memory held by the level's state slab and keys.
+func (l *Level) Bytes() int64 { return 8 * int64(len(l.slab)+len(l.keys)) }
 
 // Index returns the position of a state, or −1 if it is not a state
 // of this level. It is an allocation-free binary search over the
@@ -394,16 +399,16 @@ func (l *Level) Index(state []int) int {
 		}
 		return -1
 	}
-	lo, hi := 0, len(l.states)
+	lo, hi := 0, l.n
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
-		if compareStates(l.states[mid], state) < 0 {
+		if compareStates(l.State(mid), state) < 0 {
 			lo = mid + 1
 		} else {
 			hi = mid
 		}
 	}
-	if lo < len(l.states) && compareStates(l.states[lo], state) == 0 {
+	if lo < l.n && compareStates(l.State(lo), state) == 0 {
 		return lo
 	}
 	return -1

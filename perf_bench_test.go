@@ -31,7 +31,11 @@ func perfNet(b *testing.B, k int) *core.Solver {
 // Chain construction + per-level LU factorization, parallel (default
 // GOMAXPROCS) versus serial (GOMAXPROCS=1). On a multi-core host the
 // parallel variant shows the worker-pool speedup; on one core the two
-// coincide.
+// coincide. Every iteration after the first finds the chain's shape in
+// network's memo, so these measure the warm-shape case: the numeric
+// phase only (value replay and refactorization into the memoized LU
+// patterns). internal/network's BenchmarkPerfNewSolverK8H2ShapeCold
+// measures the same build with the memo emptied before each one.
 func benchPerfConstruct(b *testing.B, procs int) {
 	if procs > 0 {
 		old := runtime.GOMAXPROCS(procs)

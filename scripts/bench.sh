@@ -29,8 +29,8 @@ trap 'rm -f "$tmp"' EXIT
 for pass in $(seq "$benchcount"); do
     echo "== bench pass $pass/$benchcount =="
     go test -run '^$' -bench 'Perf' -benchmem -benchtime "$benchtime" \
-        ./internal/matrix ./internal/core ./internal/obs ./internal/serve \
-        ./internal/stream ./internal/trace . | tee -a "$tmp"
+        ./internal/matrix ./internal/core ./internal/network ./internal/obs \
+        ./internal/serve ./internal/stream ./internal/trace . | tee -a "$tmp"
 done
 
 awk -v date="$(date -u +%Y-%m-%dT%H:%M:%SZ)" \

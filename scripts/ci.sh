@@ -73,10 +73,12 @@ if awk -v t="$total" -v f="$floor" 'BEGIN { exit !(t > f + 2) }'; then
 fi
 
 echo "== determinism at GOMAXPROCS=4 =="
-# Seeded results must not depend on the core count: rerun the packages
-# whose answers fan out over worker pools with more processors than
-# the race pass above may have had.
-GOMAXPROCS=4 go test -count=1 ./internal/core ./internal/sim ./internal/stream ./internal/batch
+# Seeded results must not depend on the core count: rerun the whole
+# suite with more processors than the race pass above may have had.
+# -p 1 runs one package's tests at a time, so the timing guards
+# (TestPerfParallelConstructionGuard) do not compete with other test
+# binaries for the host.
+GOMAXPROCS=4 go test -p 1 -count=1 ./...
 
 echo "== perfbench module =="
 # perfbench is a separate module that compiles against the solver's
