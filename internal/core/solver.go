@@ -165,8 +165,8 @@ func NewSolverFromChainCtx(ctx context.Context, chain *network.Chain) (*Solver, 
 // about d³/3 multiply-adds.
 func factorCost(lvl *network.Level) int64 {
 	d := int64(lvl.States.Count())
-	if sparseWorthwhile(int(d), lvl.P.NNZ()) && lvl.Sym.NNZ() > 0 {
-		return lvl.Sym.Flops()/4 + int64(lvl.Sym.NNZ())/2 + d
+	if nnz := lvl.Sym.NNZ(); nnz > 0 {
+		return lvl.Sym.Flops()/4 + int64(nnz)/2 + d
 	}
 	if d > 1<<20 {
 		return par.MaxCost
@@ -174,30 +174,20 @@ func factorCost(lvl *network.Level) int64 {
 	return min(d*d*d/30, par.MaxCost)
 }
 
-// sparseWorthwhile decides whether a level's A_k = I − P_k should be
-// attempted with the sparse no-pivot LU: tiny systems are faster in
-// the dense ladder's cache-friendly kernels, and a level whose P is
-// already a quarter dense will only densify further under elimination.
-func sparseWorthwhile(d, nnz int) bool {
-	return d >= 16 && nnz*4 <= d*d
-}
-
 // factorLevel produces the level-k factorization, preferring the
 // structured sparse elimination — a numeric refactorization into the
-// level's memoized analysis — and falling back to the pivoted dense
+// level's memoized analysis, which already ruled out the levels the
+// dense LU serves better — and falling back to the pivoted dense
 // ladder whenever sparsity, stability, or conditioning runs out. The
 // dense path owns error reporting, so the failure modes (and their
 // typed errors and messages) are exactly the historical dense ones.
 func factorLevel(k int, lvl *network.Level) (factorization, error) {
 	span := mLevelFactor.Start()
 	defer span.End()
-	d := lvl.States.Count()
-	if sparseWorthwhile(d, lvl.P.NNZ()) {
-		if f, err := lvl.Sym.Factor(lvl.P); err == nil {
-			if f.Cond1Est() <= matrix.CondLimit {
-				mSparseFactors.Inc()
-				return f, nil
-			}
+	if f, err := lvl.Sym.Factor(lvl.P); err == nil {
+		if f.Cond1Est() <= matrix.CondLimit {
+			mSparseFactors.Inc()
+			return f, nil
 		}
 	}
 	fact, err := matrix.Factor(lvl.P.IMinusDense())

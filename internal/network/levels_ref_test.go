@@ -13,10 +13,12 @@ import (
 
 // The structured CSR builder replaced the dense per-level matrices,
 // so the historical dense build survives here as the reference
-// implementation: the same emitLevel generator draining into dense
+// implementation: the historical generator (emitLevel in
+// emit_ref_test.go, which reads the network's parameters directly
+// rather than through the memoized tape) draining into dense
 // accumulators, built serially with none of the workspace pooling.
 // Holding the production chain to this reference (to 1e-12, in
-// practice bitwise — the CSR sink merges duplicates in emission order
+// practice bitwise — the tape replays the weights in emission order
 // exactly like dense +=) is the equivalence contract of the refactor.
 
 // DenseRefLevel is one population level accumulated densely.

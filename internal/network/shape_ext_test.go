@@ -1,6 +1,7 @@
 package network_test
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 	"sync"
@@ -10,6 +11,7 @@ import (
 	"finwl/internal/matrix"
 	"finwl/internal/network"
 	"finwl/internal/phase"
+	"finwl/internal/sparse"
 	"finwl/internal/statespace"
 )
 
@@ -113,13 +115,15 @@ func TestShapeMemoHitMatchesMiss(t *testing.T) {
 			if !sameFloats(sh.Depart(k, pi), sm.Depart(k, pi)) {
 				t.Fatalf("seed %d level %d: left solves differ", seed, k)
 			}
-			fh, err := hit.Levels[k].Sym.Factor(hit.Levels[k].P)
-			if err != nil {
-				t.Fatal(err)
-			}
-			fm, err := miss.Levels[k].Sym.Factor(miss.Levels[k].P)
-			if err != nil {
-				t.Fatal(err)
+			fh, errh := hit.Levels[k].Sym.Factor(hit.Levels[k].P)
+			fm, errm := miss.Levels[k].Sym.Factor(miss.Levels[k].P)
+			if errh != nil || errm != nil {
+				// A level the analysis leaves to the dense LU refuses
+				// alike on both paths.
+				if !errors.Is(errh, sparse.ErrFill) || !errors.Is(errm, sparse.ErrFill) {
+					t.Fatalf("seed %d level %d: factor errors %v (hit) and %v (miss)", seed, k, errh, errm)
+				}
+				continue
 			}
 			if fh.NNZ() != fm.NNZ() || !sameFloats(fh.Solve(pi), fm.Solve(pi)) ||
 				math.Float64bits(fh.Cond1Est()) != math.Float64bits(fm.Cond1Est()) {

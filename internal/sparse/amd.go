@@ -3,393 +3,374 @@ package sparse
 import "math"
 
 // amdOrder returns an approximate minimum degree elimination order for
-// the pattern of P + Pᵀ (Amestoy, Davis and Duff, SIAM J. Matrix Anal.
-// Appl. 17(4), 1996; this is the compact formulation of Davis, "Direct
-// Methods for Sparse Linear Systems", §7.1). It eliminates on the
-// quotient graph — eliminated nodes become elements that stand for the
-// clique they created — with element absorption, mass elimination,
-// supervariable detection, approximate external degrees, and a final
-// postorder of the assembly tree. Nodes denser than 10·√n are ordered
-// last.
+// the pattern of P + Pᵀ, after Amestoy, Davis and Duff, "An approximate
+// minimum degree ordering algorithm", SIAM J. Matrix Anal. Appl. 17(4),
+// 1996. Elimination runs on the quotient graph: an eliminated pivot
+// becomes an element standing for the clique it created, so the graph
+// never grows. Each variable i keeps its adjacent elements E_i and its
+// adjacent variables A_i; each element e keeps its variables L_e. The
+// paper's refinements are all here:
 //
-// The order is deterministic: every choice is a function of the
-// pattern alone. Degree lists are LIFO and scanned from the smallest
-// degree, so ties go to the node most recently placed in a list, in an
-// order fixed by the input numbering; nothing depends on timing, maps
-// or GOMAXPROCS.
+//   - approximate external degrees, d̄_i = min(d̄_i + |L_p∖i|,
+//     |A_i∖i| + |L_p∖i| + Σ_{e∈E_i∖p} |L_e∖L_p|), bounded by the
+//     number of variables left;
+//   - element absorption (every element of E_p, and aggressively any
+//     element with L_e ⊆ L_p);
+//   - mass elimination of variables adjacent to p alone;
+//   - supervariables: variables of L_p with equal E and A lists merge
+//     and are eliminated together.
+//
+// Rows denser than 10·√n (at least 16) would dominate the degree
+// updates while barely changing the order; they are left out of the
+// graph and ordered last.
+//
+// The order is deterministic: the pivot is the most recently inserted
+// variable of least degree, and every other choice is a function of
+// the pattern and its numbering alone.
 func amdOrder(pat *Pattern) []int32 {
 	n := int32(pat.rows)
-	cp, ci := symmetricAdjacency(pat)
-	cnz := cp[n]
-	nzmax := 2*cnz + 8*n // elbow room for new elements
-	ci = append(ci, make([]int32, int(nzmax)-len(ci))...)
-	dense := int32(math.Max(16, 10*math.Sqrt(float64(n))))
-	if dense > n-2 {
-		dense = n - 2
+	cp, adj := symmetricAdjacency(pat)
+	g := &quotientGraph{
+		lists:  adj,
+		start:  cp[:n],
+		size:   make([]int32, n),
+		nelt:   make([]int32, n),
+		nv:     make([]int32, n),
+		deg:    make([]int32, n),
+		ew:     make([]int32, n),
+		head:   make([]int32, n+1),
+		next:   make([]int32, n),
+		prev:   make([]int32, n),
+		w:      make([]int32, n),
+		wStamp: make([]int32, n),
+		vStamp: make([]int32, n),
+		hash:   make([]uint32, n),
+		dother: make([]int32, n),
+		tail:   make([]int32, n),
+		chain:  make([]int32, n),
+		bucket: make([]int32, n),
+		hnext:  make([]int32, n),
+		inList: make([]int32, n),
+		order:  make([]int32, 0, n),
 	}
-
-	ws := make([]int32, 9*(n+1))
-	length, nv, next := ws[:n+1], ws[n+1:2*(n+1)], ws[2*(n+1):3*(n+1)]
-	head, elen, degree := ws[3*(n+1):4*(n+1)], ws[4*(n+1):5*(n+1)], ws[5*(n+1):6*(n+1)]
-	w, hhead, last := ws[6*(n+1):7*(n+1)], ws[7*(n+1):8*(n+1)], ws[8*(n+1):]
-
-	for k := int32(0); k < n; k++ {
-		length[k] = cp[k+1] - cp[k]
+	for i := range g.head {
+		g.head[i] = -1
 	}
-	length[n] = 0
-	for i := int32(0); i <= n; i++ {
-		head[i], last[i], next[i], hhead[i] = -1, -1, -1, -1
-		nv[i] = 1 // node i is just one node
-		w[i] = 1  // node i is alive
-		elen[i] = 0
-		degree[i] = length[i]
+	for i := range g.bucket {
+		g.bucket[i] = -1
 	}
-	mark := amdClear(0, 0, w, n)
-	elen[n] = -2 // n is a dead element, the root for dense nodes
-	cp[n] = -1
-	w[n] = 0
-
-	nel := int32(0) // nodes eliminated so far
+	// Rows denser than the threshold leave the graph; the others start
+	// as variables of weight 1, and those left without a neighbour are
+	// eliminated at once.
+	dense := int32(max(16, 10*math.Sqrt(float64(n))))
+	var denseRows []int32
 	for i := int32(0); i < n; i++ {
-		d := degree[i]
-		switch {
-		case d == 0: // empty node: eliminate at once
-			elen[i] = -2
-			nel++
-			cp[i] = -1
-			w[i] = 0
-		case d > dense: // dense node: absorb into element n
-			nv[i] = 0
-			elen[i] = -1
-			nel++
-			cp[i] = amdFlip(n)
-			nv[n]++
-		default:
-			if head[d] != -1 {
-				last[head[d]] = i
-			}
-			next[i] = head[d]
-			head[d] = i
+		g.size[i] = cp[i+1] - cp[i]
+		g.tail[i], g.chain[i] = i, -1
+		if g.size[i] > dense {
+			denseRows = append(denseRows, i)
+		} else {
+			g.nv[i] = 1
 		}
 	}
-
-	mindeg, lemax := int32(0), int32(0)
-	for nel < n {
-		// Select the node of minimum approximate degree.
-		k := int32(-1)
-		for ; mindeg < n; mindeg++ {
-			if k = head[mindeg]; k != -1 {
-				break
-			}
-		}
-		if next[k] != -1 {
-			last[next[k]] = -1
-		}
-		head[mindeg] = next[k]
-		elenk := elen[k]
-		nvk := nv[k]
-		nel += nvk
-
-		// Garbage-collect the element and node lists when the new
-		// element might not fit.
-		if elenk > 0 && cnz+mindeg >= nzmax {
-			for j := int32(0); j < n; j++ {
-				if p := cp[j]; p >= 0 {
-					cp[j] = ci[p]
-					ci[p] = amdFlip(j)
-				}
-			}
-			q := int32(0)
-			for p := int32(0); p < cnz; {
-				j := amdFlip(ci[p])
-				p++
-				if j >= 0 {
-					ci[q] = cp[j]
-					cp[j] = q
-					q++
-					for k3 := int32(0); k3 < length[j]-1; k3++ {
-						ci[q] = ci[p]
-						q++
-						p++
-					}
-				}
-			}
-			cnz = q
-			if cnz+mindeg >= nzmax {
-				ci = append(ci, make([]int32, cnz+mindeg+1-nzmax)...)
-				nzmax = int32(len(ci))
-			}
-		}
-
-		// Construct the new element Lk from k's nodes and the nodes of
-		// the elements adjacent to k.
-		dk := int32(0)
-		nv[k] = -nvk // flag k as in Lk
-		p := cp[k]
-		pk1 := cnz
-		if elenk == 0 {
-			pk1 = p // build in place
-		}
-		pk2 := pk1
-		for k1 := int32(1); k1 <= elenk+1; k1++ {
-			var e, pj, ln int32
-			if k1 > elenk {
-				e, pj, ln = k, p, length[k]-elenk
-			} else {
-				e = ci[p]
-				p++
-				pj, ln = cp[e], length[e]
-			}
-			for k2 := int32(1); k2 <= ln; k2++ {
-				i := ci[pj]
-				pj++
-				nvi := nv[i]
-				if nvi <= 0 {
-					continue // node i dead, or already in Lk
-				}
-				dk += nvi
-				nv[i] = -nvi
-				ci[pk2] = i
-				pk2++
-				if next[i] != -1 {
-					last[next[i]] = last[i]
-				}
-				if last[i] != -1 { // remove i from its degree list
-					next[last[i]] = next[i]
-				} else {
-					head[degree[i]] = next[i]
-				}
-			}
-			if e != k {
-				cp[e] = amdFlip(k) // absorb e into k
-				w[e] = 0
-			}
-		}
-		if elenk != 0 {
-			cnz = pk2
-		}
-		degree[k] = dk
-		cp[k] = pk1
-		length[k] = pk2 - pk1
-		elen[k] = -2 // k is now an element
-
-		// Find the set differences |Le \ Lk| for every element e
-		// adjacent to a node of Lk.
-		mark = amdClear(mark, lemax, w, n)
-		for pk := pk1; pk < pk2; pk++ {
-			i := ci[pk]
-			eln := elen[i]
-			if eln <= 0 {
-				continue
-			}
-			nvi := -nv[i]
-			wnvi := mark - nvi
-			for p := cp[i]; p <= cp[i]+eln-1; p++ {
-				e := ci[p]
-				if w[e] >= mark {
-					w[e] -= nvi
-				} else if w[e] != 0 {
-					w[e] = degree[e] + wnvi
-				}
-			}
-		}
-
-		// Update the approximate degree of every node of Lk.
-		for pk := pk1; pk < pk2; pk++ {
-			i := ci[pk]
-			p1 := cp[i]
-			p2 := p1 + elen[i] - 1
-			pn := p1
-			h, d := int32(0), int32(0)
-			for p := p1; p <= p2; p++ {
-				e := ci[p]
-				if w[e] != 0 {
-					if dext := w[e] - mark; dext > 0 {
-						d += dext
-						ci[pn] = e
-						pn++
-						h += e
-					} else {
-						cp[e] = amdFlip(k) // aggressive absorption
-						w[e] = 0
-					}
-				}
-			}
-			elen[i] = pn - p1 + 1
-			p3 := pn
-			p4 := p1 + length[i]
-			for p := p2 + 1; p < p4; p++ {
-				j := ci[p]
-				nvj := nv[j]
-				if nvj <= 0 {
-					continue
-				}
-				d += nvj
-				ci[pn] = j
-				pn++
-				h += j
-			}
-			if d == 0 { // mass elimination: i joins k
-				cp[i] = amdFlip(k)
-				nvi := -nv[i]
-				dk -= nvi
-				nvk += nvi
-				nel += nvi
-				nv[i] = 0
-				elen[i] = -1
-			} else {
-				degree[i] = min(degree[i], d)
-				ci[pn] = ci[p3]
-				ci[p3] = ci[p1]
-				ci[p1] = k // k becomes the first element of i
-				length[i] = pn - p1 + 1
-				h = int32(uint32(h) % uint32(n)) // the running sum may wrap
-				next[i] = hhead[h]
-				hhead[h] = i
-				last[i] = h
-			}
-		}
-		degree[k] = dk
-		lemax = max(lemax, dk)
-		mark = amdClear(mark+lemax, lemax, w, n)
-
-		// Supervariable detection: nodes of Lk with identical element
-		// and node lists merge.
-		for pk := pk1; pk < pk2; pk++ {
-			i := ci[pk]
-			if nv[i] >= 0 {
-				continue
-			}
-			h := last[i]
-			i = hhead[h]
-			hhead[h] = -1
-			for ; i != -1 && next[i] != -1; i, mark = next[i], mark+1 {
-				ln, eln := length[i], elen[i]
-				for p := cp[i] + 1; p <= cp[i]+ln-1; p++ {
-					w[ci[p]] = mark
-				}
-				jlast := i
-				for j := next[i]; j != -1; {
-					ok := length[j] == ln && elen[j] == eln
-					for p := cp[j] + 1; ok && p <= cp[j]+ln-1; p++ {
-						if w[ci[p]] != mark {
-							ok = false
-						}
-					}
-					if ok { // absorb j into i
-						cp[j] = amdFlip(i)
-						nv[i] += nv[j]
-						nv[j] = 0
-						elen[j] = -1
-						j = next[j]
-						next[jlast] = j
-					} else {
-						jlast = j
-						j = next[j]
-					}
-				}
-			}
-		}
-
-		// Finalize Lk and return its nodes to the degree lists.
-		p = pk1
-		for pk := pk1; pk < pk2; pk++ {
-			i := ci[pk]
-			nvi := -nv[i]
-			if nvi <= 0 {
-				continue
-			}
-			nv[i] = nvi
-			d := min(degree[i]+dk-nvi, n-nel-nvi)
-			if head[d] != -1 {
-				last[head[d]] = i
-			}
-			next[i] = head[d]
-			last[i] = -1
-			head[d] = i
-			mindeg = min(mindeg, d)
-			degree[i] = d
-			ci[p] = i
-			p++
-		}
-		nv[k] = nvk
-		if length[k] = p - pk1; length[k] == 0 {
-			cp[k] = -1 // k is a root of the assembly tree
-			w[k] = 0
-		}
-		if elenk != 0 {
-			cnz = p
-		}
-	}
-
-	// Postorder the assembly tree: absorbed nodes follow the element
-	// that absorbed them.
 	for i := int32(0); i < n; i++ {
-		cp[i] = amdFlip(cp[i])
-	}
-	for j := int32(0); j <= n; j++ {
-		head[j] = -1
-	}
-	for j := n; j >= 0; j-- {
-		if nv[j] > 0 {
-			continue // j is an element
-		}
-		next[j] = head[cp[j]]
-		head[cp[j]] = j
-	}
-	for e := n; e >= 0; e-- {
-		if nv[e] <= 0 {
+		if g.nv[i] == 0 {
 			continue
 		}
-		if cp[e] != -1 {
-			next[e] = head[cp[e]]
-			head[cp[e]] = e
+		d := int32(0)
+		for _, j := range g.list(i) {
+			d += g.nv[j]
 		}
-	}
-	post := make([]int32, n+1)
-	k := int32(0)
-	for i := int32(0); i <= n; i++ {
-		if cp[i] == -1 {
-			k = amdPostorder(i, k, head, next, post, w)
+		if d == 0 {
+			g.nv[i] = 0
+			g.order = append(g.order, i)
+			continue
 		}
+		g.live++
+		g.deg[i] = d
+		g.push(i)
 	}
-	return post[:n] // the placeholder root n is ordered last
+	for g.eliminated < g.live {
+		g.eliminate(g.pop())
+	}
+	g.order = append(g.order, denseRows...)
+	return g.order
 }
 
-// amdFlip maps an index to a negative tag and back.
-func amdFlip(i int32) int32 { return -i - 2 }
+// quotientGraph is amdOrder's working state. A node is a principal
+// variable while nv > 0 and a live element while ew > 0; merged and
+// eliminated variables, absorbed elements and dense rows have neither.
+// Node i's list is lists[start[i] : start[i]+size[i]]: for a variable,
+// its nelt[i] elements followed by its variables; for an element, its
+// variables. Lists may still name nodes that have since died; every
+// scan skips them. A variable's list never grows (each elimination that adds p to E_i
+// also drops an absorbed element or p itself from it), so it is
+// rewritten in place; element lists are appended at the end.
+type quotientGraph struct {
+	lists             []int32
+	start, size, nelt []int32
+	nv                []int32 // principal variable weight
+	ew                []int32 // element weight |L_e|
+	deg               []int32 // approximate external degree
 
-// amdClear resets the mark workspace when mark would overflow.
-func amdClear(mark, lemax int32, w []int32, n int32) int32 {
-	if mark < 2 || mark+lemax < 0 {
-		for k := int32(0); k < n; k++ {
-			if w[k] != 0 {
-				w[k] = 1
+	head, next, prev []int32 // degree buckets, doubly linked
+	mindeg           int32
+
+	step          int32
+	w, wStamp     []int32 // |L_e ∖ L_p|, valid where wStamp[e] == step
+	vStamp        []int32 // vStamp[i] == step: i is in L_p (or p)
+	hash          []uint32
+	dother        []int32 // d̄_i without the L_p term
+	tail, chain   []int32 // variables merged into i: i, chain[i], …, tail[i]
+	inList        []int32 // inList[x] == cmpStamp: x is in the list compared against
+	cmpStamp      int32
+	live          int32 // variables in the graph at the start
+	eliminated    int32 // weight of the variables eliminated so far
+	order         []int32
+	hashed        []int32 // the variables of L_p, for supervariable detection
+	bucket, hnext []int32 // hash buckets of hashed, chained
+	massElim      []int32 // the variables eliminated with p
+}
+
+func (g *quotientGraph) list(i int32) []int32 {
+	return g.lists[g.start[i] : g.start[i]+g.size[i]]
+}
+
+func (g *quotientGraph) push(i int32) {
+	d := g.deg[i]
+	g.prev[i], g.next[i] = -1, g.head[d]
+	if g.head[d] != -1 {
+		g.prev[g.head[d]] = i
+	}
+	g.head[d] = i
+	g.mindeg = min(g.mindeg, d)
+}
+
+func (g *quotientGraph) remove(i int32) {
+	if g.prev[i] != -1 {
+		g.next[g.prev[i]] = g.next[i]
+	} else {
+		g.head[g.deg[i]] = g.next[i]
+	}
+	if g.next[i] != -1 {
+		g.prev[g.next[i]] = g.prev[i]
+	}
+}
+
+// pop removes and returns a variable of least approximate degree.
+func (g *quotientGraph) pop() int32 {
+	for g.head[g.mindeg] == -1 {
+		g.mindeg++
+	}
+	p := g.head[g.mindeg]
+	g.remove(p)
+	return p
+}
+
+// emit appends i and the variables merged into it to the order.
+func (g *quotientGraph) emit(i int32) {
+	for ; i != -1; i = g.chain[i] {
+		g.order = append(g.order, i)
+	}
+}
+
+// eliminate makes the variable p an element and updates its
+// neighbourhood.
+func (g *quotientGraph) eliminate(p int32) {
+	g.step++
+	step := g.step
+	g.eliminated += g.nv[p]
+
+	// L_p: the live variables of A_p and of every element of E_p; the
+	// elements of E_p are absorbed into p. The list goes at the end of
+	// lists, which first makes room for every variable left.
+	g.reserve(g.live - g.eliminated)
+	nv, ew, w, vStamp := g.nv, g.ew, g.w, g.vStamp
+	lp0 := int32(len(g.lists))
+	vStamp[p] = step
+	dk := int32(0)
+	add := func(v int32) {
+		if nv[v] > 0 && vStamp[v] != step {
+			vStamp[v] = step
+			g.lists = append(g.lists, v)
+			dk += nv[v]
+			g.remove(v)
+		}
+	}
+	pl := g.list(p)
+	for _, e := range pl[:g.nelt[p]] {
+		if ew[e] == 0 {
+			continue
+		}
+		for _, v := range g.list(e) {
+			add(v)
+		}
+		ew[e] = 0
+	}
+	for _, v := range pl[g.nelt[p]:] {
+		add(v)
+	}
+	nv[p], ew[p] = 0, dk
+	g.start[p], g.size[p], g.nelt[p] = lp0, int32(len(g.lists))-lp0, 0
+	lp := g.lists[lp0:]
+
+	// |L_e ∖ L_p| for every other element adjacent to L_p.
+	for _, v := range lp {
+		for _, e := range g.list(v)[:g.nelt[v]] {
+			if ew[e] == 0 {
+				continue
+			}
+			if g.wStamp[e] != step {
+				g.wStamp[e], w[e] = step, ew[e]
+			}
+			w[e] -= nv[v]
+		}
+	}
+
+	// Prune every variable's lists, put p in its E, and bound its
+	// degree; a variable adjacent to nothing but p is eliminated with
+	// it.
+	g.hashed = g.hashed[:0]
+	g.massElim = g.massElim[:0]
+	for _, v := range lp {
+		l := g.list(v)
+		ne, kept := g.nelt[v], int32(0)
+		var h uint32
+		dext := int32(0)
+		for _, e := range l[:ne] {
+			if ew[e] == 0 {
+				continue // absorbed
+			}
+			if w[e] == 0 { // L_e ⊆ L_p: absorbed into p
+				ew[e] = 0
+				continue
+			}
+			l[kept] = e
+			kept++
+			dext += w[e]
+			h += uint32(e) * 0x9e3779b1
+		}
+		keptE := kept
+		for _, j := range l[ne:] {
+			if nv[j] == 0 || vStamp[j] == step {
+				continue // not a principal variable, or covered by p
+			}
+			l[kept] = j
+			kept++
+			dext += nv[j]
+			h += uint32(j) * 0x85ebca77
+		}
+		if kept == 0 {
+			g.massElim = append(g.massElim, v)
+			dk -= nv[v]
+			g.eliminated += nv[v]
+			nv[v] = 0
+			continue
+		}
+		// E_v = {p} ∪ kept elements, then the kept variables. There is
+		// room: v reached L_p through an element of E_p, now absorbed
+		// and dropped from E_v, or through A_p, and then p, no longer a
+		// variable, was dropped from A_v (A lists stay symmetric among
+		// live variables).
+		if keptE < kept {
+			l[kept] = l[keptE]
+		}
+		l[keptE] = p
+		g.size[v], g.nelt[v] = kept+1, keptE+1
+		g.dother[v] = min(g.deg[v], dext)
+		g.hash[v] = h
+		g.hashed = append(g.hashed, v)
+	}
+	g.detectSupervariables()
+
+	// Finalize L_p (its principal variables only) and their degrees.
+	lp = g.list(p)
+	q := 0
+	left := g.live - g.eliminated
+	for _, v := range lp {
+		if nv[v] == 0 {
+			continue
+		}
+		lp[q] = v
+		q++
+		g.deg[v] = min(g.dother[v]+dk-nv[v], left-nv[v])
+		g.push(v)
+	}
+	g.lists = g.lists[:lp0+int32(q)]
+	g.size[p], ew[p] = int32(q), dk
+	g.emit(p)
+	for _, v := range g.massElim {
+		g.emit(v)
+	}
+}
+
+// detectSupervariables merges the variables of L_p whose element and
+// variable lists are equal. Candidates are chained into buckets by list
+// hash; the lists of each bucket's pairs of equal hash are compared
+// exactly.
+func (g *quotientGraph) detectSupervariables() {
+	n := uint32(len(g.bucket))
+	for _, v := range g.hashed {
+		b := g.hash[v] % n
+		g.hnext[v], g.bucket[b] = g.bucket[b], v
+	}
+	for _, v := range g.hashed {
+		b := g.hash[v] % n
+		i := g.bucket[b]
+		g.bucket[b] = -1 // each bucket is compared once
+		for ; i != -1; i = g.hnext[i] {
+			if g.nv[i] == 0 {
+				continue
+			}
+			g.cmpStamp++
+			for _, x := range g.list(i) {
+				g.inList[x] = g.cmpStamp
+			}
+			for j := g.hnext[i]; j != -1; j = g.hnext[j] {
+				if g.nv[j] == 0 || g.hash[j] != g.hash[i] || g.size[j] != g.size[i] || g.nelt[j] != g.nelt[i] {
+					continue
+				}
+				same := true
+				for _, x := range g.list(j) {
+					if g.inList[x] != g.cmpStamp {
+						same = false
+						break
+					}
+				}
+				if !same {
+					continue
+				}
+				g.nv[i] += g.nv[j]
+				g.nv[j] = 0
+				g.dother[i] = min(g.dother[i], g.dother[j])
+				g.chain[g.tail[i]] = j
+				g.tail[i] = g.tail[j]
 			}
 		}
-		mark = 2
 	}
-	return mark
 }
 
-// amdPostorder numbers the tree rooted at j depth-first from k,
-// children before parents, using stack as scratch.
-func amdPostorder(j, k int32, head, next, post, stack []int32) int32 {
-	top := 0
-	stack[0] = j
-	for top >= 0 {
-		p := stack[top]
-		if i := head[p]; i == -1 {
-			top--
-			post[k] = p
-			k++
-		} else {
-			head[p] = next[i]
-			top++
-			stack[top] = i
+// reserve makes room to append extra entries to lists without moving
+// it, compacting the live lists into a new array when it must grow.
+func (g *quotientGraph) reserve(extra int32) {
+	if int32(cap(g.lists)-len(g.lists)) >= extra {
+		return
+	}
+	used := extra
+	for i := range g.nv {
+		if g.nv[i] > 0 || g.ew[i] > 0 {
+			used += g.size[i]
 		}
 	}
-	return k
+	lists := make([]int32, 0, 2*used)
+	for i := range g.nv {
+		if g.nv[i] > 0 || g.ew[i] > 0 {
+			l := g.list(int32(i))
+			g.start[i] = int32(len(lists))
+			lists = append(lists, l...)
+		}
+	}
+	g.lists = lists
 }
 
 // symmetricAdjacency returns the pattern of P + Pᵀ without its

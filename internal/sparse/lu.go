@@ -46,7 +46,10 @@ type Symbolic struct {
 	lp, li []int32
 	up, ui []int32
 	flops  int64 // multiply-adds of one numeric factorization
-	fill   bool  // nnz(L+U) passed the fill budget: Factor reports ErrFill
+	// fill marks an analysis without factors — the matrix is left to
+	// the dense LU, or nnz(L+U) passed the fill budget — for which
+	// Factor reports ErrFill.
+	fill bool
 }
 
 // Elimination orders for analyze.
@@ -56,13 +59,22 @@ const (
 )
 
 // Analyze computes the symbolic factorization of A = I − P for a
-// square P. It orders the elimination by approximate minimum degree on
+// square P, or decides that the sparse LU is not the tool for it. A
+// matrix with fewer than 16 rows is faster in the dense LU's
+// cache-friendly kernels, and a P already a quarter dense only
+// densifies further under elimination: for those the analysis is
+// marked dense without ordering anything, and Factor reports ErrFill.
+// Otherwise it orders the elimination by approximate minimum degree on
 // the pattern of P + Pᵀ, and keeps that order only where its symbolic
-// nnz(L+U) is smaller than natural order's; otherwise (ties included)
-// it keeps natural order. When both orders fill past the budget
-// (max(d²/4, 16·nnz+4d), at most d²) the analysis records it and
-// Factor reports ErrFill.
-func Analyze(p *Pattern) (*Symbolic, error) { return analyze(p, orderBest) }
+// nnz(L+U) is smaller than natural order's (ties keep natural order).
+// When both orders fill past the budget (max(d²/4, 16·nnz+4d), at
+// most d²) the analysis records it and Factor reports ErrFill.
+func Analyze(p *Pattern) (*Symbolic, error) {
+	if n := p.rows; p.cols == n && (n < 16 || 4*p.NNZ() > n*n) {
+		return &Symbolic{pat: *p, fill: true}, nil
+	}
+	return analyze(p, orderBest)
+}
 
 func analyze(pat *Pattern, order int) (*Symbolic, error) {
 	n := pat.rows
@@ -201,7 +213,7 @@ func symbolic(pat *Pattern, perm []int32, limit int) *Symbolic {
 func (f *Symbolic) nnz() int { return len(f.li) + len(f.ui) }
 
 // NNZ returns the structural entry count of L and U combined
-// (including U's diagonal), or 0 when the analysis hit the fill budget.
+// (including U's diagonal), or 0 when the analysis has no factors.
 func (f *Symbolic) NNZ() int {
 	if f.fill {
 		return 0
@@ -210,7 +222,7 @@ func (f *Symbolic) NNZ() int {
 }
 
 // Flops returns the multiply-add count of one numeric factorization
-// into this analysis (0 when it hit the fill budget).
+// into this analysis (0 when it has no factors).
 func (f *Symbolic) Flops() int64 { return f.flops }
 
 // Bytes returns the memory held by the analysis (the analyzed pattern
@@ -249,13 +261,14 @@ type LU struct {
 }
 
 // FactorIMinusP factors A = I − P for a square substochastic CSR
-// matrix P: Analyze followed by Factor. It returns ErrNotSubstochastic
-// when P is outside the no-pivot stability domain, matrix.ErrSingular
-// on an exactly zero pivot, and ErrFill when the factors densify past
-// the budget where dense elimination wins; on any error the caller is
+// matrix P of any size: the minimum-degree analysis (without Analyze's
+// dense gate) followed by Factor. It returns ErrNotSubstochastic when
+// P is outside the no-pivot stability domain, matrix.ErrSingular on an
+// exactly zero pivot, and ErrFill when the factors densify past the
+// budget where dense elimination wins; on any error the caller is
 // expected to fall back to the dense ladder.
 func FactorIMinusP(p *CSR) (*LU, error) {
-	f, err := Analyze(&p.Pattern)
+	f, err := analyze(&p.Pattern, orderBest)
 	if err != nil {
 		return nil, err
 	}
@@ -264,10 +277,15 @@ func FactorIMinusP(p *CSR) (*LU, error) {
 
 // Factor refactors A = I − P into the analyzed pattern: arithmetic
 // only, over the known L and U structure. P must have exactly the
-// analyzed pattern. Errors are those of FactorIMinusP.
+// analyzed pattern. It reports ErrFill first, without looking at the
+// values, when the analysis has no factors; its other errors are
+// those of FactorIMinusP.
 func (f *Symbolic) Factor(p *CSR) (*LU, error) {
 	if !f.samePattern(p) {
 		return nil, fmt.Errorf("sparse: %dx%d matrix does not have the analyzed pattern", p.rows, p.cols)
+	}
+	if f.fill {
+		return nil, ErrFill
 	}
 	n := p.rows
 	// Validate the stability precondition and accumulate the column
@@ -291,9 +309,6 @@ func (f *Symbolic) Factor(p *CSR) (*LU, error) {
 		if rowSum > 1+1e-9 {
 			return nil, ErrNotSubstochastic
 		}
-	}
-	if f.fill {
-		return nil, ErrFill
 	}
 	var anorm float64
 	for j := 0; j < n; j++ {

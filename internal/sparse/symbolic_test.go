@@ -246,6 +246,29 @@ func TestAMDOrderDeterministic(t *testing.T) {
 	}
 }
 
+// The analysis leaves tiny and quarter-dense matrices to the dense LU:
+// it orders nothing, reports no factors, and Factor refuses with
+// ErrFill, while FactorIMinusP still factors them sparse.
+func TestAnalyzeLeavesTinyAndDenseToDenseLU(t *testing.T) {
+	r := rand.New(rand.NewSource(31))
+	for _, n := range []int{10, 40} { // d < 16; about half the entries set
+		p := substochasticP(r, n)
+		sym, err := Analyze(&p.Pattern)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sym.perm != nil || sym.NNZ() != 0 {
+			t.Fatalf("n=%d: analysis ordered (%v) or kept %d factor entries", n, sym.perm != nil, sym.NNZ())
+		}
+		if _, err := sym.Factor(p); !errors.Is(err, ErrFill) {
+			t.Fatalf("n=%d: Factor err = %v, want ErrFill", n, err)
+		}
+		if _, err := FactorIMinusP(p); err != nil {
+			t.Fatalf("n=%d: FactorIMinusP: %v", n, err)
+		}
+	}
+}
+
 // A tridiagonal P has no fill in natural order; the analysis keeps it.
 func TestAnalyzeKeepsNaturalWithoutFill(t *testing.T) {
 	const n = 40
@@ -323,5 +346,41 @@ func TestSymbolicRefactor(t *testing.T) {
 	}
 	if _, err := sym.Factor(gridP(9)); err == nil || errors.Is(err, ErrFill) {
 		t.Fatalf("factor of another pattern: err = %v, want a pattern mismatch", err)
+	}
+}
+
+// The minimum-degree order is a permutation of every pattern, including
+// ones with empty rows (eliminated first) and rows dense enough to be
+// left out of the quotient graph (ordered last).
+func TestAMDOrderPermutesEveryPattern(t *testing.T) {
+	r := rand.New(rand.NewSource(29))
+	for trial := 0; trial < 60; trial++ {
+		n := 1 + r.Intn(300)
+		b := NewBuilder(n, n)
+		for e := r.Intn(3 * n); e > 0; e-- {
+			b.Add(r.Intn(n), r.Intn(n), 0.1)
+		}
+		denseRow := -1
+		if n > 20 && trial%3 == 0 {
+			denseRow = r.Intn(n)
+			for j := 0; j < n; j++ {
+				b.Add(denseRow, j, 0.5/float64(n))
+			}
+		}
+		pat := &b.Build().Pattern
+		perm := amdOrder(pat)
+		if len(perm) != n {
+			t.Fatalf("trial %d: order has %d entries, want %d", trial, len(perm), n)
+		}
+		seen := make([]bool, n)
+		for _, i := range perm {
+			if seen[i] {
+				t.Fatalf("trial %d: order repeats %d", trial, i)
+			}
+			seen[i] = true
+		}
+		if denseRow >= 0 && n > 160 && perm[n-1] != int32(denseRow) {
+			t.Fatalf("trial %d (n=%d): dense row %d ordered at %d, want last", trial, n, denseRow, slices.Index(perm, int32(denseRow)))
+		}
 	}
 }
