@@ -29,6 +29,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math"
 	"sort"
@@ -38,6 +39,7 @@ import (
 	"finwl/internal/matrix"
 	"finwl/internal/network"
 	"finwl/internal/par"
+	"finwl/internal/sparse"
 )
 
 // finiteResult screens a scalar result boundary: a NaN/Inf mean time
@@ -60,21 +62,10 @@ type Solver struct {
 	ws     sync.Pool      // *workspace scratch, so solves never share state
 }
 
-// factorization is the per-level solve capability the epoch kernels
-// need: right and left solves off one factorization of A_k = I − P_k,
-// plus the condition estimate that gates admission. Both the sparse
-// no-pivot M-matrix LU and the pivoted blocked dense LU satisfy it.
-type factorization interface {
-	Solve(b []float64) []float64
-	SolveInto(dst, b []float64) []float64
-	SolveLeftInto(dst, b []float64) []float64
-	Cond1Est() float64
-}
-
 type levelSolver struct {
 	lvl  *network.Level
-	fact factorization // factorization of A_k = I − P_k
-	tau  []float64     // τ'_k
+	fact *sparse.LU // factorization of A_k = I − P_k
+	tau  []float64  // τ'_k
 }
 
 // workspace is the per-solve scratch memory: every buffer is sized to
@@ -159,47 +150,32 @@ func NewSolverFromChainCtx(ctx context.Context, chain *network.Chain) (*Solver, 
 	return s, nil
 }
 
-// factorCost models a level's factorization in ForCost's tens-of-ns
-// units. A sparse refactorization costs its multiply-adds (a few ns
-// each) plus a pass over the L+U pattern and the rows; a dense one
-// about d³/3 multiply-adds.
+// factorCost models a level's refactorization in ForCost's tens-of-ns
+// units: its multiply-adds (a few ns each) plus a pass over the L+U
+// pattern and the rows.
 func factorCost(lvl *network.Level) int64 {
-	d := int64(lvl.States.Count())
-	if nnz := lvl.Sym.NNZ(); nnz > 0 {
-		return lvl.Sym.Flops()/4 + int64(nnz)/2 + d
-	}
-	if d > 1<<20 {
-		return par.MaxCost
-	}
-	return min(d*d*d/30, par.MaxCost)
+	return lvl.Sym.Flops()/4 + int64(lvl.Sym.NNZ())/2 + int64(lvl.States.Count())
 }
 
-// factorLevel produces the level-k factorization, preferring the
-// structured sparse elimination — a numeric refactorization into the
-// level's memoized analysis, which already ruled out the levels the
-// dense LU serves better — and falling back to the pivoted dense
-// ladder whenever sparsity, stability, or conditioning runs out. The
-// dense path owns error reporting, so the failure modes (and their
-// typed errors and messages) are exactly the historical dense ones.
-func factorLevel(k int, lvl *network.Level) (factorization, error) {
+// factorLevel produces the level-k factorization: a numeric
+// refactorization into the level's memoized sparse-LU analysis. A
+// failure is reported with the level it happened at.
+func factorLevel(k int, lvl *network.Level) (*sparse.LU, error) {
 	span := mLevelFactor.Start()
 	defer span.End()
-	if f, err := lvl.Sym.Factor(lvl.P); err == nil {
-		if f.Cond1Est() <= matrix.CondLimit {
-			mSparseFactors.Inc()
-			return f, nil
-		}
-	}
-	fact, err := matrix.Factor(lvl.P.IMinusDense())
-	if err != nil {
-		return nil, fmt.Errorf("core: level %d: I−P_k singular (tasks can avoid departing): %w", k, err)
-	}
-	if cond := fact.Cond1Est(); cond > matrix.CondLimit {
+	f, err := lvl.Sym.Factor(lvl.P)
+	var ce *sparse.CondError
+	switch {
+	case errors.As(err, &ce):
 		return nil, fmt.Errorf("core: level %d: I−P_k has condition estimate %.3g (limit %.3g): %w",
-			k, cond, matrix.CondLimit, check.ErrSingular)
+			k, ce.Cond, matrix.CondLimit, check.ErrSingular)
+	case errors.Is(err, check.ErrSingular):
+		return nil, fmt.Errorf("core: level %d: I−P_k singular (tasks can avoid departing): %w", k, err)
+	case err != nil:
+		return nil, fmt.Errorf("core: level %d: %w", k, err)
 	}
-	mDenseFactors.Inc()
-	return fact, nil
+	mSparseFactors.Inc()
+	return f, nil
 }
 
 func (s *Solver) getWS() *workspace  { return s.ws.Get().(*workspace) }

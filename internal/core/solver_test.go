@@ -2,15 +2,21 @@ package core
 
 import (
 	"context"
+	"errors"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 
+	"finwl/internal/check"
+	"finwl/internal/cluster"
 	"finwl/internal/matrix"
 	"finwl/internal/network"
+	"finwl/internal/par"
 	"finwl/internal/phase"
 	"finwl/internal/statespace"
+	"finwl/internal/workload"
 )
 
 func singleStation(kind statespace.Kind, svc *phase.PH) *network.Network {
@@ -434,4 +440,49 @@ func TestCheckLevelPanics(t *testing.T) {
 		}
 	}()
 	s.Tau(0)
+}
+
+// The root package's parallel-construction guard times the central
+// K=10 cluster with an H2 remote disk because its modeled factor cost
+// lies above par's serial/parallel cutover: with more than one
+// processor, its default build really runs the worker pool.
+func TestParallelGuardChainAboveCutover(t *testing.T) {
+	const K = 10
+	net, err := cluster.Central(K, workload.Default(30), cluster.Dists{Remote: cluster.WithCV2(10)}, cluster.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	chain, err := network.NewChain(net, K)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var total int64
+	for k := 1; k <= K; k++ {
+		total += factorCost(chain.Levels[k])
+	}
+	if total < par.MinParallelCost {
+		t.Fatalf("Σ factorCost = %d, below the parallel cutover %d", total, par.MinParallelCost)
+	}
+}
+
+// A network whose tasks can cycle forever without departing passes
+// validation but makes I − P_k singular: the level factorization
+// refuses it on κ₁ with a check.ErrSingular error naming the level.
+func TestTrappedLevelIsSingular(t *testing.T) {
+	route := matrix.New(2, 2)
+	route.Set(0, 1, 1)
+	route.Set(1, 0, 1)
+	net := &network.Network{
+		Stations: []network.Station{
+			{Name: "cpu", Kind: statespace.Delay, Service: phase.MustExpo(2)},
+			{Name: "io", Kind: statespace.Queue, Service: phase.MustExpo(3)},
+		},
+		Route: route,
+		Exit:  []float64{0, 0},
+		Entry: []float64{1, 0},
+	}
+	_, err := NewSolver(net, 3)
+	if !errors.Is(err, check.ErrSingular) || !strings.Contains(err.Error(), "level 3: I−P_k has condition estimate") {
+		t.Fatalf("err = %v, want a level-3 condition refusal matching check.ErrSingular", err)
+	}
 }

@@ -271,8 +271,10 @@ func ExerciseSolve(a *matrix.Matrix, b []float64) error {
 		return nil
 	}
 
-	// The same system through the sparse path: I−P with P = I−A is the
-	// form the level solves use.
+	// The same system through the transient solver's level
+	// factorization: I−P with P = I−A is the form the level solves use,
+	// and the sparse LU's non-substochastic, singular and
+	// ill-conditioned refusals are the typed errors.
 	n := a.Rows()
 	p := matrix.Identity(n).Sub(a)
 	builder := sparse.NewBuilder(n, n)
@@ -283,33 +285,14 @@ func ExerciseSolve(a *matrix.Matrix, b []float64) error {
 			}
 		}
 	}
-	csr := builder.Build()
 	if v, _ := capture("sparse-robust-solve", func() error {
-		x, err := levelSolve(csr, b)
+		f, err := sparse.FactorIMinusP(builder.Build())
 		if err != nil {
 			return err
 		}
-		return check.FiniteVec("solution", x)
+		return check.FiniteVec("solution", f.Solve(b))
 	}); v != nil {
 		return v
 	}
 	return nil
-}
-
-// levelSolve solves (I−P)·x = b the way the transient solver factors a
-// level: the sparse no-pivot LU when it factors P and its condition
-// estimate is admissible, else the pivoted dense factorization, whose
-// singular and ill-conditioned failures are the typed errors.
-func levelSolve(p *sparse.CSR, b []float64) ([]float64, error) {
-	if f, err := sparse.FactorIMinusP(p); err == nil && f.Cond1Est() <= matrix.CondLimit {
-		return f.Solve(b), nil
-	}
-	fact, err := matrix.Factor(p.IMinusDense())
-	if err != nil {
-		return nil, err
-	}
-	if cond := fact.Cond1Est(); cond > matrix.CondLimit {
-		return nil, fmt.Errorf("faultcheck: condition estimate %.3g (limit %.3g): %w", cond, matrix.CondLimit, check.ErrSingular)
-	}
-	return fact.Solve(b), nil
 }

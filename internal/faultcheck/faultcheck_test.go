@@ -2,14 +2,18 @@ package faultcheck
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"testing"
 
 	"finwl/internal/check"
+	"finwl/internal/cluster"
 	"finwl/internal/matrix"
 	"finwl/internal/network"
 	"finwl/internal/phase"
+	"finwl/internal/sparse"
 	"finwl/internal/statespace"
+	"finwl/internal/workload"
 )
 
 // Every catalogued degenerate class must go through the full pipeline
@@ -24,6 +28,63 @@ func TestDegenerateClasses(t *testing.T) {
 				t.Fatal(err)
 			}
 		})
+	}
+}
+
+// The sparse LU factors every level with no fallback, so level assembly
+// must hand it a substochastic P_k for every valid network: the
+// classes' and fuzz seeds' networks that pass validation, and the
+// paper's central (K ≤ 12) and distributed (K ≤ 5) clusters with remote
+// service CV² ∈ {1, 4, 10}. A level of a valid model may still be
+// singular (tasks trapped in a cycle), but never outside the LU's
+// stability domain; the paper's families factor outright.
+func TestLevelAssemblyIsSubstochastic(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds every paper-family chain up to distributed K=5")
+	}
+	factorAll := func(name string, net *network.Network, k int, family bool) {
+		t.Helper()
+		chain, err := network.NewChain(net, k)
+		if err != nil {
+			if family {
+				t.Fatalf("%s: %v", name, err)
+			}
+			return // refused at validation: no level is assembled
+		}
+		for lk := 1; lk <= k; lk++ {
+			lvl := chain.Levels[lk]
+			_, err := lvl.Sym.Factor(lvl.P)
+			if errors.Is(err, sparse.ErrNotSubstochastic) || (family && err != nil) {
+				t.Fatalf("%s: level %d: %v", name, lk, err)
+			}
+		}
+	}
+	factorAll("two-station", twoStation(), 3, false)
+	for _, cls := range Classes() {
+		net, k, _ := cls.Build()
+		factorAll(cls.Name, net, k, false)
+	}
+	for i, seed := range networkSeeds {
+		net, k, _ := decodeNetwork(seed)
+		factorAll(fmt.Sprintf("fuzz seed %d", i), net, k, false)
+	}
+	app := workload.Default(30)
+	for _, cv2 := range []float64{1, 4, 10} {
+		dists := cluster.Dists{Remote: cluster.WithCV2(cv2)}
+		for k := 1; k <= 12; k++ {
+			net, err := cluster.Central(k, app, dists, cluster.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			factorAll(fmt.Sprintf("central K=%d CV²=%g", k, cv2), net, k, true)
+		}
+		for k := 1; k <= 5; k++ {
+			net, err := cluster.Distributed(k, app, dists)
+			if err != nil {
+				t.Fatal(err)
+			}
+			factorAll(fmt.Sprintf("distributed K=%d CV²=%g", k, cv2), net, k, true)
+		}
 	}
 }
 

@@ -141,13 +141,21 @@ func decodeNetwork(data []byte) (*network.Network, int, int) {
 	return &network.Network{Stations: stations, Route: route, Exit: exit, Entry: entry}, k, n
 }
 
+// networkSeeds are FuzzNetworkPipeline's seed payloads for
+// decodeNetwork.
+var networkSeeds = [][]byte{
+	{},
+	{2, 0, 1, 40, 1, 1, 40, 40, 1, 10, 20, 1, 30, 10, 2, 1, 2, 3},
+	{1, 1, 1, 80, 0, 0, 0, 1, 2},
+	{3, 2, 2, 33, 3, 0, 1, 77, 2, 1, 2, 99, 1, 17, 4, 8, 15, 16, 23, 42},
+}
+
 // FuzzNetworkPipeline drives decoded networks through every public
 // pipeline. Any escaped panic or untyped error fails the target.
 func FuzzNetworkPipeline(f *testing.F) {
-	f.Add([]byte{})
-	f.Add([]byte{2, 0, 1, 40, 1, 1, 40, 40, 1, 10, 20, 1, 30, 10, 2, 1, 2, 3})
-	f.Add([]byte{1, 1, 1, 80, 0, 0, 0, 1, 2})
-	f.Add([]byte{3, 2, 2, 33, 3, 0, 1, 77, 2, 1, 2, 99, 1, 17, 4, 8, 15, 16, 23, 42})
+	for _, seed := range networkSeeds {
+		f.Add(seed)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		net, k, n := decodeNetwork(data)
 		if err := Exercise(net, k, n); err != nil {

@@ -3,7 +3,6 @@ package network
 import (
 	"context"
 	"fmt"
-	"runtime"
 
 	"finwl/internal/check"
 	"finwl/internal/obs"
@@ -19,37 +18,6 @@ var mChainBuild = obs.Default.Histogram("finwl_chain_build_seconds",
 	"Wall time of level-chain construction (enumeration + matrix generation).",
 	obs.ExpBounds(100_000, 4, 13), 1e-9) // 100µs .. ~6.7s
 
-// Allocation gauges for the most recent chain construction, sampled
-// from the runtime's heap counters. The counters are process-global,
-// so concurrent builds inflate each other's deltas — the gauges are a
-// regression tripwire, not an exact attribution.
-var (
-	mChainBuildObjects = obs.Default.Gauge("finwl_chain_build_allocs",
-		"Heap allocations during the most recent chain construction.",
-		obs.L("unit", "objects"))
-	mChainBuildBytes = obs.Default.Gauge("finwl_chain_build_allocs",
-		"Heap allocations during the most recent chain construction.",
-		obs.L("unit", "bytes"))
-)
-
-// heapAllocCounters reads the runtime's cumulative heap allocation
-// counters. runtime.ReadMemStats is used rather than runtime/metrics
-// because the latter's heap counters lag behind per-P allocation
-// caches, reporting zero deltas for builds small enough to fit in
-// already-cached spans; the stop-the-world here is a few microseconds,
-// noise against any chain construction.
-func heapAllocCounters() (objects, bytes uint64) {
-	var m runtime.MemStats
-	runtime.ReadMemStats(&m)
-	return m.Mallocs, m.TotalAlloc
-}
-
-// ChainBuildStats returns the heap allocation cost (objects, bytes)
-// of the most recent chain construction in this process.
-func ChainBuildStats() (objects, bytes int64) {
-	return mChainBuildObjects.Value(), mChainBuildBytes.Value()
-}
-
 // Level holds the paper's per-population matrices for k active tasks:
 //
 //	MDiag — the diagonal of M_k, the total event rate of each state;
@@ -64,8 +32,9 @@ func ChainBuildStats() (objects, bytes int64) {
 //
 // The matrices are CSR: each state has one outgoing entry per active
 // service phase times routing fan-out, so the natural representation
-// is sparse at every scale. Consumers that need the dense per-level
-// system A_k = I − P_k materialize it with sparse.CSR.IMinusDense.
+// is sparse at every scale. The solver factors A_k = I − P_k through
+// Sym; sparse.CSR.IMinusDense materializes it densely for reference
+// computations.
 //
 // States, the patterns of P, Q and R, and Sym are shared by every
 // chain of the same shape and must not be modified; the values are
@@ -104,10 +73,10 @@ const maxPhaseIndex = 255
 // maxDenseEntries is the chain admission budget. The level-count DP
 // (statespace.ChainPrice) prices a chain before anything is allocated,
 // so a model that would exhaust memory is rejected with
-// ErrInvalidModel instead of dying in the allocator. The price assumes
-// every level may densify, because the solver falls back to dense
-// factorization of A_k = I − P_k when sparsity runs out
-// (Σ d_k² + 2·d_k·d_{k−1} + d_k float64s ≈ 2 GiB).
+// ErrInvalidModel instead of dying in the allocator. The price
+// (Σ d_k² + 2·d_k·d_{k−1} + d_k entries ≈ 2 GiB as float64s) bounds
+// the worst case of the sparse LU of A_k = I − P_k, which has no fill
+// budget: fully filled, it holds d_k² entries of 12 B each.
 const maxDenseEntries = 1 << 28
 
 // planChain sizes every level of the prospective chain without
@@ -165,12 +134,6 @@ func NewChain(net *Network, maxK int) (*Chain, error) {
 // largest levels first; small chains never pay the pool overhead.
 func NewChainCtx(ctx context.Context, net *Network, maxK int) (*Chain, error) {
 	defer mChainBuild.Start().End()
-	allocObjects, allocBytes := heapAllocCounters()
-	defer func() {
-		o, b := heapAllocCounters()
-		mChainBuildObjects.Set(int64(o - allocObjects))
-		mChainBuildBytes.Set(int64(b - allocBytes))
-	}()
 	if err := net.Validate(); err != nil {
 		return nil, err
 	}

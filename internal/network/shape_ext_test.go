@@ -1,7 +1,6 @@
 package network_test
 
 import (
-	"errors"
 	"math"
 	"math/rand"
 	"sync"
@@ -11,7 +10,6 @@ import (
 	"finwl/internal/matrix"
 	"finwl/internal/network"
 	"finwl/internal/phase"
-	"finwl/internal/sparse"
 	"finwl/internal/statespace"
 )
 
@@ -118,12 +116,7 @@ func TestShapeMemoHitMatchesMiss(t *testing.T) {
 			fh, errh := hit.Levels[k].Sym.Factor(hit.Levels[k].P)
 			fm, errm := miss.Levels[k].Sym.Factor(miss.Levels[k].P)
 			if errh != nil || errm != nil {
-				// A level the analysis leaves to the dense LU refuses
-				// alike on both paths.
-				if !errors.Is(errh, sparse.ErrFill) || !errors.Is(errm, sparse.ErrFill) {
-					t.Fatalf("seed %d level %d: factor errors %v (hit) and %v (miss)", seed, k, errh, errm)
-				}
-				continue
+				t.Fatalf("seed %d level %d: factor errors %v (hit) and %v (miss)", seed, k, errh, errm)
 			}
 			if fh.NNZ() != fm.NNZ() || !sameFloats(fh.Solve(pi), fm.Solve(pi)) ||
 				math.Float64bits(fh.Cond1Est()) != math.Float64bits(fm.Cond1Est()) {

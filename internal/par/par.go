@@ -54,21 +54,21 @@ func For(n int, fn func(i int)) error {
 	return ForErr(nil, n, func(i int) error { fn(i); return nil })
 }
 
-// minParallelCost is the ForCost cutover: total modeled work below it
+// MinParallelCost is the ForCost cutover: total modeled work below it
 // runs serially. The unit is the callers' state-space cost model
 // (≈ matrix entries touched, tens of ns each), so the threshold sits
 // where the work is a few goroutine lifetimes — below it the pool's
 // spawn/join overhead is the dominant term and parallel construction
 // loses to a plain loop, which is exactly the regression the perf
 // harness caught on small chains.
-const minParallelCost = int64(1) << 16
+const MinParallelCost = int64(1) << 16
 
 // ForCost is ForErr with a per-item cost model driving both the
 // serial/parallel cutover and the claim order. cost(i) is the modeled
 // work of item i in arbitrary consistent units (the chain builders
 // feed it the statespace.LevelSize/ChainPrice entry counts):
 //
-//   - when the total modeled cost is below minParallelCost, or only
+//   - when the total modeled cost is below MinParallelCost, or only
 //     one processor is available, the loop runs serially in index
 //     order with zero goroutines;
 //   - otherwise workers claim items from a descending-cost schedule in
@@ -100,7 +100,7 @@ func ForCost(ctx Ctx, n int, cost func(i int) int64, fn func(i int) error) error
 			total = MaxCost
 		}
 	}
-	if total < minParallelCost || runtime.GOMAXPROCS(0) <= 1 || n <= 1 {
+	if total < MinParallelCost || runtime.GOMAXPROCS(0) <= 1 || n <= 1 {
 		return ForErr(ctx, n, fn)
 	}
 	sort.SliceStable(order, func(a, b int) bool { return costs[order[a]] > costs[order[b]] })

@@ -178,7 +178,7 @@ func TestForErrNoGoroutineLeak(t *testing.T) {
 func TestForCostSerialBelowCutover(t *testing.T) {
 	var order []int
 	err := ForCost(nil, 8,
-		func(i int) int64 { return 10 }, // total 80 ≪ minParallelCost
+		func(i int) int64 { return 10 }, // total 80 ≪ MinParallelCost
 		func(i int) error { order = append(order, i); return nil })
 	if err != nil {
 		t.Fatal(err)

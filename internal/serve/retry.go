@@ -12,10 +12,7 @@ import (
 
 // transientErr reports whether a failure is worth re-attempting: the
 // iterative caps (ErrNotConverged) and guarded NaN/∞ escapes
-// (ErrNumeric) can clear on a retry because the robust ladder below
-// (iterative refinement → equilibrated refactor → dense fallback)
-// takes progressively different paths; ErrInvalidModel and
-// ErrSingular are final.
+// (ErrNumeric); ErrInvalidModel and ErrSingular are final.
 func transientErr(err error) bool {
 	return errors.Is(err, check.ErrNotConverged) || errors.Is(err, check.ErrNumeric)
 }

@@ -8,8 +8,7 @@
 //     charged against a capacity budget before anything is allocated
 //     (reject → check.ErrOverloaded → HTTP 429);
 //   - retry with exponential backoff + jitter for transient failures
-//     (ErrNotConverged, ErrNumeric), riding the dense-fallback ladder
-//     underneath;
+//     (ErrNotConverged, ErrNumeric);
 //   - a per-model-class circuit breaker that trips after repeated
 //     ErrSingular/ErrNumeric failures and short-circuits to the
 //     degradation path, with half-open probes to recover;
@@ -982,29 +981,21 @@ type statsBody struct {
 	SolverLen  int               `json:"solver_cache_len"`
 	Breakers   map[string]string `json:"breakers"`
 	Draining   bool              `json:"draining"`
-	// Heap cost of the most recent chain construction in this process
-	// (the finwl_chain_build_allocs gauges) — the regression tripwire
-	// for the structured sparse build path.
-	ChainBuildAllocs int64 `json:"chain_build_allocs"`
-	ChainBuildBytes  int64 `json:"chain_build_bytes"`
 }
 
 // StatsPayload is the GET /stats response body (Service interface).
 func (s *Server) StatsPayload() any {
 	used, budget, queued := s.adm.snapshot()
-	buildObjects, buildBytes := network.ChainBuildStats()
 	body := statsBody{
-		Stats:            s.Snapshot(),
-		ReplicaID:        s.replicaID,
-		BudgetUsed:       used,
-		Budget:           budget,
-		Queued:           queued,
-		CacheLen:         s.cache.len(),
-		SolverLen:        s.solvers.len(),
-		Breakers:         make(map[string]string),
-		Draining:         s.draining.Load(),
-		ChainBuildAllocs: buildObjects,
-		ChainBuildBytes:  buildBytes,
+		Stats:      s.Snapshot(),
+		ReplicaID:  s.replicaID,
+		BudgetUsed: used,
+		Budget:     budget,
+		Queued:     queued,
+		CacheLen:   s.cache.len(),
+		SolverLen:  s.solvers.len(),
+		Breakers:   make(map[string]string),
+		Draining:   s.draining.Load(),
 	}
 	s.breakers.each(func(class string, br *Breaker) {
 		body.Breakers[class] = br.State().String()

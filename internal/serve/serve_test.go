@@ -428,32 +428,6 @@ func waitForGoroutines(t *testing.T, baseline int) {
 	t.Fatalf("goroutine leak: %d before, %d after\n%s", baseline, runtime.NumGoroutine(), buf[:n])
 }
 
-// TestStatsChainBuildAllocs: /stats surfaces the heap cost of the most
-// recent chain construction (the finwl_chain_build_allocs gauges) once
-// a solve has built one.
-func TestStatsChainBuildAllocs(t *testing.T) {
-	s := New(Config{Seed: 1})
-	ts := httptest.NewServer(s.Handler())
-	defer ts.Close()
-
-	if _, err := s.Solve(context.Background(), &Request{Arch: "central", K: 3, N: 10}); err != nil {
-		t.Fatal(err)
-	}
-	resp, err := http.Get(ts.URL + "/stats")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	var body statsBody
-	if err := json.NewDecoder(resp.Body).Decode(&body); err != nil {
-		t.Fatal(err)
-	}
-	if body.ChainBuildAllocs <= 0 || body.ChainBuildBytes <= 0 {
-		t.Fatalf("chain build stats = (%d objects, %d bytes), want both positive",
-			body.ChainBuildAllocs, body.ChainBuildBytes)
-	}
-}
-
 // TestRequestIdentityFastPath: a repeated request is served from the
 // result cache via the request-identity mapping — without rebuilding
 // the network — and deadline changes do not split the identity.

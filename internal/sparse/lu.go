@@ -1,12 +1,12 @@
 package sparse
 
 import (
-	"errors"
 	"fmt"
 	"math"
 	"math/bits"
 	"slices"
 
+	"finwl/internal/check"
 	"finwl/internal/matrix"
 )
 
@@ -15,19 +15,28 @@ import (
 // ≤ 1), so A_k has a unit-bounded diagonal and non-positive
 // off-diagonals whose magnitudes the diagonal dominates. Gaussian
 // elimination preserves that structure, which is what makes an LU
-// without pivoting stable here — the property the dense path buys with
+// without pivoting stable here — the property a dense LU buys with
 // partial pivoting. A symmetric permutation Π·A·Πᵀ is again such an
 // M-matrix, so a fill-reducing elimination order costs no stability.
-// Factor checks the precondition explicitly and refuses anything else,
-// so a caller can always fall back to the pivoted dense ladder.
-var (
-	// ErrNotSubstochastic reports a matrix outside the factorization's
-	// stability domain (negative, non-finite, or row sums above one).
-	ErrNotSubstochastic = errors.New("sparse: matrix is not substochastic")
-	// ErrFill reports a factorization abandoned because fill-in passed
-	// the point where the dense path is the better tool.
-	ErrFill = errors.New("sparse: LU fill-in exceeds sparse budget")
-)
+// Factor checks the precondition explicitly and refuses anything else.
+
+// ErrNotSubstochastic reports a matrix outside the factorization's
+// stability domain (negative, non-finite, or row sums above one). It
+// matches check.ErrInvalidModel: a valid network never assembles one.
+var ErrNotSubstochastic = fmt.Errorf("sparse: matrix is not substochastic: %w", check.ErrInvalidModel)
+
+// CondError reports a factorization refused because its condition
+// number κ₁(A) exceeds matrix.CondLimit: the solves would carry no
+// trustworthy digits. It matches check.ErrSingular.
+type CondError struct {
+	Cond float64 // κ₁(A), +Inf when the inverse overflowed
+}
+
+func (e *CondError) Error() string {
+	return fmt.Sprintf("sparse: condition estimate %.3g exceeds limit %.3g", e.Cond, matrix.CondLimit)
+}
+
+func (e *CondError) Unwrap() error { return check.ErrSingular }
 
 // Symbolic is the value-free half of a factorization of A = I − P:
 // everything that depends only on P's sparsity pattern. It holds the
@@ -46,59 +55,21 @@ type Symbolic struct {
 	lp, li []int32
 	up, ui []int32
 	flops  int64 // multiply-adds of one numeric factorization
-	// fill marks an analysis without factors — the matrix is left to
-	// the dense LU, or nnz(L+U) passed the fill budget — for which
-	// Factor reports ErrFill.
-	fill bool
 }
-
-// Elimination orders for analyze.
-const (
-	orderNatural = iota // the identity
-	orderBest           // minimum degree where its fill beats natural
-)
 
 // Analyze computes the symbolic factorization of A = I − P for a
-// square P, or decides that the sparse LU is not the tool for it. A
-// matrix with fewer than 16 rows is faster in the dense LU's
-// cache-friendly kernels, and a P already a quarter dense only
-// densifies further under elimination: for those the analysis is
-// marked dense without ordering anything, and Factor reports ErrFill.
-// Otherwise it orders the elimination by approximate minimum degree on
+// square P. It orders the elimination by approximate minimum degree on
 // the pattern of P + Pᵀ, and keeps that order only where its symbolic
-// nnz(L+U) is smaller than natural order's (ties keep natural order).
-// When both orders fill past the budget (max(d²/4, 16·nnz+4d), at
-// most d²) the analysis records it and Factor reports ErrFill.
+// nnz(L+U) is smaller than natural order's (ties keep natural order,
+// whose analysis stops as soon as it can no longer win). There is no
+// fill budget: the worst case, a full d×d LU, is what admission
+// prices a level at.
 func Analyze(p *Pattern) (*Symbolic, error) {
-	if n := p.rows; p.cols == n && (n < 16 || 4*p.NNZ() > n*n) {
-		return &Symbolic{pat: *p, fill: true}, nil
+	if p.cols != p.rows {
+		return nil, fmt.Errorf("sparse: factorization requires a square matrix, got %dx%d", p.rows, p.cols)
 	}
-	return analyze(p, orderBest)
-}
-
-func analyze(pat *Pattern, order int) (*Symbolic, error) {
-	n := pat.rows
-	if pat.cols != n {
-		return nil, fmt.Errorf("sparse: factorization requires a square matrix, got %dx%d", pat.rows, pat.cols)
-	}
-	budget := n * n / 4
-	if min := 16*pat.NNZ() + 4*n; budget < min {
-		budget = min
-	}
-	if nn := n * n; budget > nn {
-		budget = nn
-	}
-	if order == orderNatural {
-		return symbolic(pat, nil, budget), nil
-	}
-	// Minimum degree first: natural order usually fills more, and its
-	// analysis stops as soon as it can no longer win.
-	amd := symbolic(pat, amdOrder(pat), budget)
-	limit := budget
-	if !amd.fill {
-		limit = amd.nnz() // natural must not fill more to be kept
-	}
-	if nat := symbolic(pat, nil, limit); !nat.fill || amd.fill {
+	amd := symbolic(p, amdOrder(p), math.MaxInt)
+	if nat := symbolic(p, nil, amd.nnz()); nat != nil {
 		return nat, nil
 	}
 	return amd, nil
@@ -111,8 +82,8 @@ func analyze(pat *Pattern, order int) (*Symbolic, error) {
 // after k). The bits left below s are L's row, those above U's, both
 // read out in ascending order. Each finished U row is kept as the
 // words from its first to its last set bit, so a merge costs one word
-// operation per 64 columns of span. The result is marked fill as soon
-// as nnz(L+U) exceeds limit.
+// operation per 64 columns of span. It gives up, returning nil, as
+// soon as nnz(L+U) exceeds limit.
 func symbolic(pat *Pattern, perm []int32, limit int) *Symbolic {
 	n := pat.rows
 	if perm == nil {
@@ -196,7 +167,7 @@ func symbolic(pat *Pattern, perm []int32, limit int) *Symbolic {
 		f.lp[s+1] = int32(len(f.li))
 		f.up[s+1] = int32(len(f.ui))
 		if len(f.li)+len(f.ui) > limit {
-			return &Symbolic{pat: *pat, fill: true}
+			return nil
 		}
 	}
 	// The elimination ran on step numbers; the stored patterns name A's
@@ -213,16 +184,11 @@ func symbolic(pat *Pattern, perm []int32, limit int) *Symbolic {
 func (f *Symbolic) nnz() int { return len(f.li) + len(f.ui) }
 
 // NNZ returns the structural entry count of L and U combined
-// (including U's diagonal), or 0 when the analysis has no factors.
-func (f *Symbolic) NNZ() int {
-	if f.fill {
-		return 0
-	}
-	return f.nnz() + f.pat.rows
-}
+// (including U's diagonal).
+func (f *Symbolic) NNZ() int { return f.nnz() + f.pat.rows }
 
 // Flops returns the multiply-add count of one numeric factorization
-// into this analysis (0 when it has no factors).
+// into this analysis.
 func (f *Symbolic) Flops() int64 { return f.flops }
 
 // Bytes returns the memory held by the analysis (the analyzed pattern
@@ -261,14 +227,9 @@ type LU struct {
 }
 
 // FactorIMinusP factors A = I − P for a square substochastic CSR
-// matrix P of any size: the minimum-degree analysis (without Analyze's
-// dense gate) followed by Factor. It returns ErrNotSubstochastic when
-// P is outside the no-pivot stability domain, matrix.ErrSingular on an
-// exactly zero pivot, and ErrFill when the factors densify past the
-// budget where dense elimination wins; on any error the caller is
-// expected to fall back to the dense ladder.
+// matrix P: Analyze followed by Factor.
 func FactorIMinusP(p *CSR) (*LU, error) {
-	f, err := analyze(&p.Pattern, orderBest)
+	f, err := Analyze(&p.Pattern)
 	if err != nil {
 		return nil, err
 	}
@@ -277,15 +238,12 @@ func FactorIMinusP(p *CSR) (*LU, error) {
 
 // Factor refactors A = I − P into the analyzed pattern: arithmetic
 // only, over the known L and U structure. P must have exactly the
-// analyzed pattern. It reports ErrFill first, without looking at the
-// values, when the analysis has no factors; its other errors are
-// those of FactorIMinusP.
+// analyzed pattern. It returns ErrNotSubstochastic when P is outside
+// the no-pivot stability domain, matrix.ErrSingular on an exactly zero
+// pivot, and a *CondError when κ₁(A) exceeds matrix.CondLimit.
 func (f *Symbolic) Factor(p *CSR) (*LU, error) {
 	if !f.samePattern(p) {
 		return nil, fmt.Errorf("sparse: %dx%d matrix does not have the analyzed pattern", p.rows, p.cols)
-	}
-	if f.fill {
-		return nil, ErrFill
 	}
 	n := p.rows
 	// Validate the stability precondition and accumulate the column
@@ -359,6 +317,9 @@ func (f *Symbolic) Factor(p *CSR) (*LU, error) {
 			lu.ux[q] = w[j]
 			w[j] = 0
 		}
+	}
+	if c := lu.Cond1Est(); !(c <= matrix.CondLimit) {
+		return nil, &CondError{Cond: c}
 	}
 	return lu, nil
 }
@@ -474,8 +435,8 @@ func (f *LU) SolveLeftInto(dst, b []float64) []float64 {
 // one: a nonsingular M-matrix has an entrywise non-negative inverse,
 // so ‖A⁻¹‖₁ = max_j Σ_i |A⁻¹_ij| = max_j (1ᵀ·A⁻¹)_j — a single left
 // solve with the all-ones vector. The result upper-bounds what Hager
-// would report (an estimator never exceeds the true norm), so gating
-// it against matrix.CondLimit is at least as strict as the dense gate.
+// would report (an estimator never exceeds the true norm), so Factor's
+// gate against matrix.CondLimit is at least as strict as a dense one.
 func (f *LU) Cond1Est() float64 {
 	z := make([]float64, f.N())
 	for i := range z {

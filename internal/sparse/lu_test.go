@@ -4,11 +4,38 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
+	"finwl/internal/check"
 	"finwl/internal/matrix"
 )
+
+// agreesWithDense reports how far the sparse LU's right and left
+// solves of A = I − P lie from the pivoted dense LU's, relative to the
+// dense solution, and checks that the in-place forms give the same
+// answers bit for bit.
+func agreesWithDense(t *testing.T, f *LU, p *CSR, b []float64) float64 {
+	t.Helper()
+	dense, err := matrix.Factor(p.IMinusDense())
+	if err != nil {
+		t.Fatal(err)
+	}
+	x, xd := f.Solve(b), dense.Solve(b)
+	y, yd := f.SolveLeft(b), dense.SolveLeft(b)
+	rel := math.Max(
+		matrix.NormInf(matrix.VecSub(x, xd))/math.Max(1, matrix.NormInf(xd)),
+		matrix.NormInf(matrix.VecSub(y, yd))/math.Max(1, matrix.NormInf(yd)))
+	bx := append([]float64(nil), b...)
+	f.SolveInto(bx, bx)
+	by := append([]float64(nil), b...)
+	f.SolveLeftInto(by, by)
+	if !slices.Equal(bx, x) || !slices.Equal(by, y) {
+		t.Fatal("in-place solves differ from the allocating ones")
+	}
+	return rel
+}
 
 // Property: the no-pivot sparse LU agrees with the pivoted dense
 // factorization on right solves, left solves, and in-place variants
@@ -20,39 +47,54 @@ func TestLUMatchesDenseFactor(t *testing.T) {
 		p := substochasticP(r, n)
 		f, err := FactorIMinusP(p)
 		if err != nil {
-			// Budget rejection is legitimate; singularity on a
-			// substochastic system with row sums ≤ 0.97 is not.
-			return errors.Is(err, ErrFill)
-		}
-		dense, err := matrix.Factor(p.IMinusDense())
-		if err != nil {
+			// Singularity on a substochastic system with row sums
+			// ≤ 0.95 is not legitimate.
 			return false
 		}
 		b := make([]float64, n)
 		for i := range b {
 			b[i] = r.NormFloat64()
 		}
-		x, xd := f.Solve(b), dense.Solve(b)
-		y, yd := f.SolveLeft(b), dense.SolveLeft(b)
-		scale := math.Max(1, matrix.NormInf(b))
-		if matrix.NormInf(matrix.VecSub(x, xd)) > 1e-9*scale {
-			return false
-		}
-		if matrix.NormInf(matrix.VecSub(y, yd)) > 1e-9*scale {
-			return false
-		}
-		// In-place aliasing: dst == b must give the same answers.
-		bx := append([]float64(nil), b...)
-		f.SolveInto(bx, bx)
-		if matrix.NormInf(matrix.VecSub(bx, x)) != 0 {
-			return false
-		}
-		by := append([]float64(nil), b...)
-		f.SolveLeftInto(by, by)
-		return matrix.NormInf(matrix.VecSub(by, y)) == 0
+		return agreesWithDense(t, f, p, b) <= 1e-9
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// The sparse LU factors every level, tiny (d < 16) and quarter-dense
+// (4·nnz > d²) ones included: through the production path (Analyze,
+// then Factor) it matches the pivoted dense LU to 1e-12 at those
+// sizes.
+func TestLUMatchesDenseAtSmallAndDenseSizes(t *testing.T) {
+	r := rand.New(rand.NewSource(41))
+	var ps []*CSR
+	for d := 1; d <= 15; d++ {
+		ps = append(ps, substochasticP(r, d))
+	}
+	for _, d := range []int{16, 20, 33, 64, 100} {
+		p := substochasticP(r, d) // about half the entries set
+		if 4*p.NNZ() <= d*d {
+			t.Fatalf("d=%d: pattern with %d entries is not quarter-dense", d, p.NNZ())
+		}
+		ps = append(ps, p)
+	}
+	for _, p := range ps {
+		sym, err := Analyze(&p.Pattern)
+		if err != nil {
+			t.Fatal(err)
+		}
+		f, err := sym.Factor(p)
+		if err != nil {
+			t.Fatalf("d=%d: %v", p.Rows(), err)
+		}
+		b := make([]float64, p.Rows())
+		for i := range b {
+			b[i] = r.NormFloat64()
+		}
+		if rel := agreesWithDense(t, f, p, b); rel > 1e-12 {
+			t.Fatalf("d=%d (nnz %d): sparse and dense solves differ by %g relative", p.Rows(), p.NNZ(), rel)
+		}
 	}
 }
 
@@ -99,8 +141,8 @@ func TestLUCond1Exact(t *testing.T) {
 }
 
 // The stability domain is enforced: negative entries, NaN, and row
-// sums above one are all rejected with ErrNotSubstochastic before any
-// elimination happens.
+// sums above one are all rejected with ErrNotSubstochastic, which is a
+// check.ErrInvalidModel, before any elimination happens.
 func TestLURejectsNonSubstochastic(t *testing.T) {
 	cases := map[string]func(b *Builder){
 		"negative": func(b *Builder) { b.Add(0, 1, -0.1) },
@@ -110,8 +152,9 @@ func TestLURejectsNonSubstochastic(t *testing.T) {
 	for name, fill := range cases {
 		b := NewBuilder(2, 2)
 		fill(b)
-		if _, err := FactorIMinusP(b.Build()); !errors.Is(err, ErrNotSubstochastic) {
-			t.Errorf("%s: err = %v, want ErrNotSubstochastic", name, err)
+		_, err := FactorIMinusP(b.Build())
+		if !errors.Is(err, ErrNotSubstochastic) || !errors.Is(err, check.ErrInvalidModel) {
+			t.Errorf("%s: err = %v, want ErrNotSubstochastic matching check.ErrInvalidModel", name, err)
 		}
 	}
 	if _, err := FactorIMinusP(NewBuilder(2, 3).Build()); err == nil {
@@ -131,13 +174,29 @@ func TestLUSingular(t *testing.T) {
 	}
 }
 
-// A sparse matrix whose elimination densifies past the budget resigns
-// with ErrFill instead of grinding through a dense-sized factorization
-// (the caller falls back to the blocked dense LU, which wins there).
-// The budget is judged on the symbolic fill of the chosen order: the
-// first matrix densifies past it in natural order but not under
-// minimum degree, the second under both.
-func TestLUFillBudget(t *testing.T) {
+// A nearly stochastic P leaves A = I − P nonsingular but with κ₁
+// beyond matrix.CondLimit: Factor refuses it with a *CondError that
+// carries κ₁ and matches check.ErrSingular, the gate the dense LU
+// applied to the same matrix.
+func TestLUConditionGate(t *testing.T) {
+	b := NewBuilder(2, 2)
+	b.Add(0, 1, 1)
+	b.Add(1, 0, 1-1e-16)
+	_, err := FactorIMinusP(b.Build())
+	var ce *CondError
+	if !errors.As(err, &ce) || !errors.Is(err, check.ErrSingular) {
+		t.Fatalf("err = %v, want a *CondError matching check.ErrSingular", err)
+	}
+	if !(ce.Cond > matrix.CondLimit) {
+		t.Fatalf("CondError carries κ₁ = %v, want above %v", ce.Cond, matrix.CondLimit)
+	}
+}
+
+// Elimination that densifies heavily still factors sparse: the first
+// matrix fills far more in natural order than under minimum degree, so
+// the analysis keeps minimum degree; the second fills heavily under
+// both. Both solve as the dense LU does.
+func TestLUHeavyFill(t *testing.T) {
 	randomP := func(n, perRow int) *CSR {
 		r := rand.New(rand.NewSource(1))
 		b := NewBuilder(n, n)
@@ -148,34 +207,23 @@ func TestLUFillBudget(t *testing.T) {
 		}
 		return b.Build()
 	}
-	p := randomP(200, 4)
-	nat, err := analyze(&p.Pattern, orderNatural)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := nat.Factor(p); !errors.Is(err, ErrFill) {
-		t.Fatalf("natural order: err = %v, want ErrFill", err)
-	}
-	f, err := FactorIMinusP(p)
-	if err != nil {
-		t.Fatalf("minimum-degree order: %v", err)
-	}
-	if f.sym.natural() {
-		t.Fatal("analysis kept natural order although it overflows the budget")
-	}
-	b := make([]float64, p.Rows())
-	for i := range b {
-		b[i] = float64(i%7) - 3
-	}
-	dense, err := matrix.Factor(p.IMinusDense())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d := matrix.NormInf(matrix.VecSub(f.Solve(b), dense.Solve(b))); d > 1e-9 {
-		t.Fatalf("minimum-degree solve differs from dense by %g", d)
-	}
-	if _, err := FactorIMinusP(randomP(400, 6)); !errors.Is(err, ErrFill) {
-		t.Fatalf("err = %v, want ErrFill", err)
+	for _, p := range []*CSR{randomP(200, 4), randomP(400, 6)} {
+		f, err := FactorIMinusP(p)
+		if err != nil {
+			t.Fatalf("n=%d: %v", p.Rows(), err)
+		}
+		nat := symbolic(&p.Pattern, nil, math.MaxInt)
+		if f.sym.natural() || f.sym.NNZ() >= nat.NNZ() {
+			t.Fatalf("n=%d: analysis kept %d entries (natural %v), natural order has %d",
+				p.Rows(), f.sym.NNZ(), f.sym.natural(), nat.NNZ())
+		}
+		b := make([]float64, p.Rows())
+		for i := range b {
+			b[i] = float64(i%7) - 3
+		}
+		if rel := agreesWithDense(t, f, p, b); rel > 1e-9 {
+			t.Fatalf("n=%d: minimum-degree solve differs from dense by %g relative", p.Rows(), rel)
+		}
 	}
 }
 

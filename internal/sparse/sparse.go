@@ -1,11 +1,12 @@
 // Package sparse provides compressed sparse row (CSR) matrices and
-// the structured LU the transient solver factors its levels with.
+// the structured LU the transient solver factors every level with.
 // The level matrices P_k, Q_k, R_k are extremely sparse — each state
 // has one outgoing entry per active service phase times routing
-// fan-out — so beyond a few thousand states the dense LU path in
-// internal/matrix stops being viable. This package keeps the same
-// left/right solve operations available at scale: matrix-vector
-// products over CSR plus a no-pivot LU of I − P.
+// fan-out — so this package supplies the left/right solve operations
+// at every scale: matrix-vector products over CSR plus a no-pivot LU
+// of I − P, analyzed once per pattern and refactored per matrix. The
+// dense LU in internal/matrix is not on this path; it remains the
+// independent reference the tests compare against.
 package sparse
 
 import (
@@ -180,7 +181,7 @@ func (m *CSR) VecMulInto(dst, x []float64) []float64 {
 }
 
 // IMinusDense returns I − A as a dense matrix: the per-level system
-// A_k = I − P_k in the form the dense factorization ladder consumes.
+// A_k = I − P_k in the form the dense reference computations consume.
 // The entry values are identical to matrix.Identity(n).Sub(dense P):
 // absent entries stay at the exact identity values and stored entries
 // are the same one subtraction.

@@ -1,7 +1,7 @@
 package sparse
 
 import (
-	"errors"
+	"math"
 	"math/rand"
 	"runtime"
 	"slices"
@@ -121,11 +121,7 @@ func TestNaturalRefactorMatchesScanLU(t *testing.T) {
 		ps = append(ps, substochasticP(r, 2+r.Intn(60)))
 	}
 	for i, p := range ps {
-		sym, err := analyze(&p.Pattern, orderNatural)
-		if err != nil {
-			t.Fatal(err)
-		}
-		f, err := sym.Factor(p)
+		f, err := symbolic(&p.Pattern, nil, math.MaxInt).Factor(p)
 		if err != nil {
 			t.Fatalf("matrix %d: %v", i, err)
 		}
@@ -246,29 +242,6 @@ func TestAMDOrderDeterministic(t *testing.T) {
 	}
 }
 
-// The analysis leaves tiny and quarter-dense matrices to the dense LU:
-// it orders nothing, reports no factors, and Factor refuses with
-// ErrFill, while FactorIMinusP still factors them sparse.
-func TestAnalyzeLeavesTinyAndDenseToDenseLU(t *testing.T) {
-	r := rand.New(rand.NewSource(31))
-	for _, n := range []int{10, 40} { // d < 16; about half the entries set
-		p := substochasticP(r, n)
-		sym, err := Analyze(&p.Pattern)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if sym.perm != nil || sym.NNZ() != 0 {
-			t.Fatalf("n=%d: analysis ordered (%v) or kept %d factor entries", n, sym.perm != nil, sym.NNZ())
-		}
-		if _, err := sym.Factor(p); !errors.Is(err, ErrFill) {
-			t.Fatalf("n=%d: Factor err = %v, want ErrFill", n, err)
-		}
-		if _, err := FactorIMinusP(p); err != nil {
-			t.Fatalf("n=%d: FactorIMinusP: %v", n, err)
-		}
-	}
-}
-
 // A tridiagonal P has no fill in natural order; the analysis keeps it.
 func TestAnalyzeKeepsNaturalWithoutFill(t *testing.T) {
 	const n = 40
@@ -344,7 +317,7 @@ func TestSymbolicRefactor(t *testing.T) {
 			t.Fatalf("permuted solves allocate %v objects per call, want 0", avg)
 		}
 	}
-	if _, err := sym.Factor(gridP(9)); err == nil || errors.Is(err, ErrFill) {
+	if _, err := sym.Factor(gridP(9)); err == nil {
 		t.Fatalf("factor of another pattern: err = %v, want a pattern mismatch", err)
 	}
 }

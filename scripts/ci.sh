@@ -240,6 +240,15 @@ for murl in "http://$admin_addr/metrics" "http://$addr/metrics"; do
         exit 1
     fi
 done
+# The sparse LU is the only level factorization: the K=3 solve above
+# factored all three levels sparse, none dense.
+page=$(curl -s --retry 2 "http://$addr/metrics")
+if ! grep -q '^finwl_level_factorizations_total{path="dense"} 0$' <<< "$page" ||
+    ! grep -Eq '^finwl_level_factorizations_total\{path="sparse"\} [1-9]' <<< "$page"; then
+    echo "finwld smoke: level factorizations are not all sparse:" >&2
+    grep '^finwl_level_factorizations_total' <<< "$page" >&2
+    exit 1
+fi
 # pprof and expvar ride the admin listener only.
 vars=$(curl -s "http://$admin_addr/debug/vars")
 if ! grep -q '"cmdline"' <<< "$vars"; then
