@@ -226,7 +226,7 @@ func TestSparseSolverConcurrentUse(t *testing.T) {
 }
 
 // Property: on random small networks the solver agrees with the dense
-// reference, whichever factorization each level took.
+// reference.
 func TestSparseMatchesDenseProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
