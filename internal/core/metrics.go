@@ -13,11 +13,11 @@ import "finwl/internal/obs"
 // BenchmarkPerfFeedEpochIntoK8).
 var (
 	mSolves = obs.Default.Counter("finwl_solves_total",
-		"Transient solves started (Solve and per-sweep-checkpoint units are counted separately).")
+		"Transient solves answered by Solve and SplitTotalTimeCtx, which serves both exact ladder rungs (SolveSweep's drain checkpoints count in finwl_sweep_checkpoints_total).")
 	mEpochs = obs.Default.Counter("finwl_epochs_total",
-		"Feeding and draining epochs advanced by the transient kernels.")
+		"Feeding and draining epochs advanced by the transient kernels, and backward steps of SplitTotalTimeCtx.")
 	mSweepCheckpoints = obs.Default.Counter("finwl_sweep_checkpoints_total",
-		"Drain checkpoints materialized by SolveSweep's shared feeding pass.")
+		"Drain checkpoints materialized by SolveSweep's shared feeding pass (batch and job sweeps; the serving ladder's checkpoint rung counts in finwl_solves_total).")
 	mPowerIters = obs.Default.Counter("finwl_power_iterations_total",
 		"Power/fixed-point iterations of the steady-state and time-stationary solvers.")
 	mLevelFactor = obs.Default.Histogram("finwl_level_factor_seconds",

@@ -24,7 +24,9 @@
 // construction; the epoch loop runs on pooled scratch workspaces and
 // the *Into matrix kernels, so the N epochs of Solve, the sweep pass
 // of SolveSweep, and the power iterations perform zero allocations
-// per iteration. Solvers are safe for concurrent use.
+// per iteration. SplitTotalTimeCtx, the serving path, returns E(T)
+// alone from a forward and a backward half that may run on two
+// cores. Solvers are safe for concurrent use.
 package core
 
 import (
@@ -63,21 +65,24 @@ type Solver struct {
 }
 
 type levelSolver struct {
-	lvl  *network.Level
-	fact *sparse.LU // factorization of A_k = I − P_k
-	tau  []float64  // τ'_k
+	lvl   *network.Level
+	fact  *sparse.LU // factorization of A_k = I − P_k
+	tau   []float64  // τ'_k
+	drain []float64  // D_k: mean time to drain from each state of level k
 }
 
 // workspace is the per-solve scratch memory: every buffer is sized to
 // the largest level, so one workspace serves a whole transient pass
 // without reallocation. Workspaces are pooled on the Solver; a Solve,
-// SolveSweep, SteadyState or TimeStationary call checks one out for
-// its duration, which keeps concurrent calls from sharing state.
+// SolveSweep, SplitTotalTimeCtx, SteadyState or TimeStationary call
+// checks one out for its duration, which keeps concurrent calls from
+// sharing state.
 type workspace struct {
 	y          []float64 // left-solve result inside departInto
 	t          []float64 // post-departure vector inside feedInto
 	cur, next  []float64 // ping-pong feeding-state distributions
 	dcur, dnxt []float64 // ping-pong draining-state distributions
+	u          []float64 // R_K·w inside backHalf
 }
 
 // NewSolver builds the level chain for populations 1..K and factors
@@ -137,6 +142,19 @@ func NewSolverFromChainCtx(ctx context.Context, chain *network.Chain) (*Solver, 
 			s.maxD = d
 		}
 	}
+	// D_0 = 0 and D_k = τ'_k + A_k⁻¹(Q_k·D_{k−1}) = τ'_k + Y_k·D_{k−1}:
+	// one right solve per level, so a drain from any distribution
+	// over level k is the dot product π·D_k.
+	prev := make([]float64, chain.Levels[0].States.Count())
+	for k := 1; k <= K; k++ {
+		ls := s.levels[k]
+		dk := ls.lvl.Q.MulVec(prev)
+		ls.fact.SolveInto(dk, dk)
+		for i, t := range ls.tau {
+			dk[i] += t
+		}
+		ls.drain, prev = dk, dk
+	}
 	s.ws.New = func() any {
 		return &workspace{
 			y:    make([]float64, s.maxD),
@@ -145,6 +163,7 @@ func NewSolverFromChainCtx(ctx context.Context, chain *network.Chain) (*Solver, 
 			next: make([]float64, s.maxD),
 			dcur: make([]float64, s.maxD),
 			dnxt: make([]float64, s.maxD),
+			u:    make([]float64, s.maxD),
 		}
 	}
 	return s, nil
@@ -290,6 +309,115 @@ func (s *Solver) TotalTime(n int) (float64, error) {
 		return 0, err
 	}
 	return r.TotalTime, nil
+}
+
+// SplitTotalTimeCtx returns E(T) for n tasks: SolveCtx(ctx, n).TotalTime
+// to rounding, computed in two halves that may run at once, without
+// materializing the epochs.
+//
+// For n ≤ K it is the dot product p_n·D_n. For n > K, with m = n − K
+// feeding epochs and m1 = ⌈m/2⌉, the forward half runs the first m1
+// feeding epochs π_{i+1} = π_i·B, B = Y_K·R_K, summing π_i·τ'_K; the
+// backward half runs m − m1 right-solve steps w_{j+1} = τ'_K + B·w_j
+// from w_0 = D_K, so that w_j is the mean time to finish from each
+// level-K state with j tasks still queued. Then
+// E(T) = Σ_{i<m1} π_i·τ'_K + π_{m1}·w_{m−m1}.
+//
+// The halves run through par.ForCost as two items priced per epoch,
+// so small solves stay on one goroutine. The split point and the
+// summation order depend on n alone, never on GOMAXPROCS, so neither
+// do the answer's bits. Both halves poll ctx once per epoch and count
+// their steps in finwl_epochs_total; the answer counts in
+// finwl_solves_total.
+func (s *Solver) SplitTotalTimeCtx(ctx context.Context, n int) (float64, error) {
+	if err := check.Count("core: workload size", n, 1); err != nil {
+		return 0, err
+	}
+	K := s.K
+	if n <= K {
+		mSolves.Inc()
+		total := matrix.Dot(s.Chain.EntryVector(n), s.levels[n].drain)
+		return total, finiteResult("total time", total)
+	}
+	m := n - K
+	m1 := (m + 1) / 2
+	ws := s.getWS()
+	defer s.putWS(ws)
+	var (
+		fwd   float64
+		pi, w []float64
+	)
+	step := epochCost(s.Chain.Levels[K])
+	halves := [2]int{m1, m - m1}
+	err := par.ForCost(ctx, 2,
+		func(i int) int64 { return int64(halves[i]) * step },
+		func(i int) (err error) {
+			if i == 0 {
+				fwd, pi, err = s.feedHalf(ctx, halves[0], ws)
+			} else {
+				w, err = s.backHalf(ctx, halves[1], ws)
+			}
+			return err
+		})
+	if err != nil {
+		return 0, err
+	}
+	mSolves.Inc()
+	total := fwd + matrix.Dot(pi, w)
+	return total, finiteResult("total time", total)
+}
+
+// epochCost models one level-K epoch in factorCost's units: a
+// triangular solve pair over the L+U pattern plus the Q and R maps,
+// about 2 ns per stored entry (central K=8 H2: 9,084 entries, an
+// epoch of 15–20 µs on a 2-vCPU x86 VM).
+func epochCost(lvl *network.Level) int64 {
+	return int64(lvl.Sym.NNZ()+lvl.Q.NNZ()+lvl.R.NNZ()) / 5
+}
+
+// feedHalf runs m feeding epochs from p_K on ws's y, t, cur and next
+// buffers. It returns Σ_{i<m} π_i·τ'_K and π_m.
+func (s *Solver) feedHalf(ctx context.Context, m int, ws *workspace) (float64, []float64, error) {
+	K := s.K
+	tau := s.levels[K].tau
+	pi, nxt := ws.cur[:len(tau)], ws.next[:len(tau)]
+	copy(pi, s.Chain.EntryVector(K))
+	var clock float64
+	for i := 0; i < m; i++ {
+		if err := check.Canceled(ctx); err != nil {
+			return 0, nil, err
+		}
+		mEpochs.Inc()
+		clock += matrix.Dot(pi, tau)
+		s.feedInto(nxt, K, pi, ws)
+		pi, nxt = nxt, pi
+	}
+	return clock, pi, nil
+}
+
+// backHalf runs j right-solve steps w ← τ'_K + A_K⁻¹(Q_K·(R_K·w)) from
+// w = D_K on ws's dcur, dnxt and u buffers, disjoint from feedHalf's,
+// and returns w_j.
+func (s *Solver) backHalf(ctx context.Context, j int, ws *workspace) ([]float64, error) {
+	ls := s.levels[s.K]
+	q, r := ls.lvl.Q, ls.lvl.R
+	w, nxt := ws.dcur[:len(ls.tau)], ws.dnxt[:len(ls.tau)]
+	copy(w, ls.drain)
+	u := ws.u[:r.Rows()]
+	for i := 0; i < j; i++ {
+		if err := check.Canceled(ctx); err != nil {
+			return nil, err
+		}
+		mEpochs.Inc()
+		r.MulVecInto(u, w)
+		q.MulVecInto(nxt, u)
+		ls.fact.SolveInto(nxt, nxt)
+		for x, t := range ls.tau {
+			nxt[x] += t
+		}
+		w, nxt = nxt, w
+	}
+	return w, nil
 }
 
 // SolveSweep computes the transient solution for every workload in ns

@@ -31,19 +31,36 @@ func TestServeCampaign(t *testing.T) {
 		t.Logf("%-24s -> %d %s", o.Class, o.Status, o.Code)
 	}
 
-	// Spot-check the two mapping regimes: validation failures are 400s
-	// and the structurally-valid-but-singular class exhausts the whole
-	// degradation ladder into a 503.
-	want := map[string]int{
-		"nan-routing":          http.StatusBadRequest,
-		"oversized-population": http.StatusBadRequest,
-		"zero-population":      http.StatusBadRequest,
-		"absorbing-phase":      http.StatusBadRequest,
-		"trapped-tasks":        http.StatusServiceUnavailable,
+	// Every class has one pinned outcome: validation failures are
+	// 400 invalid_model, and the structurally-valid-but-singular class
+	// exhausts the whole degradation ladder into a 503.
+	type outcome struct {
+		status int
+		code   string
+	}
+	invalidModel := outcome{http.StatusBadRequest, "invalid_model"}
+	want := map[string]outcome{
+		"nan-routing":          invalidModel,
+		"inf-service-rate":     invalidModel,
+		"zero-service-rate":    invalidModel,
+		"negative-entry":       invalidModel,
+		"super-stochastic-row": invalidModel,
+		"no-stations":          invalidModel,
+		"nil-routing-matrix":   invalidModel,
+		"dimension-mismatch":   invalidModel,
+		"trapped-tasks":        {http.StatusServiceUnavailable, "singular"},
+		"absorbing-phase":      invalidModel,
+		"nan-phase-entry":      invalidModel,
+		"oversized-population": invalidModel,
+		"zero-population":      invalidModel,
+		"zero-workload":        invalidModel,
+		"unknown-station-kind": invalidModel,
 	}
 	for _, o := range outcomes {
-		if w, ok := want[o.Class]; ok && o.Status != w {
-			t.Errorf("class %s: status %d, want %d (body %s)", o.Class, o.Status, w, o.Body)
+		if w, ok := want[o.Class]; !ok {
+			t.Errorf("class %s has no pinned outcome", o.Class)
+		} else if (outcome{o.Status, o.Code}) != w {
+			t.Errorf("class %s: %d %s, want %d %s (body %s)", o.Class, o.Status, o.Code, w.status, w.code, o.Body)
 		}
 	}
 

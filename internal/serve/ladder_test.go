@@ -1,8 +1,12 @@
 package serve
 
 import (
+	"context"
 	"testing"
 	"time"
+
+	"finwl/internal/core"
+	"finwl/internal/obs"
 )
 
 // TestSelectTierTable is the issue-mandated matrix: the fidelity the
@@ -98,5 +102,50 @@ func TestEstimatorLearns(t *testing.T) {
 	e.observe(class, FidelityExact, price, 0)
 	if e.estimate(class, price) != warm {
 		t.Fatal("zero-price or zero-duration observation moved the estimate")
+	}
+}
+
+// Both exact rungs answer with core's split E(T): a fresh solver
+// serves exact, a cached one checkpoint, each with the split value,
+// N epochs and its own label, and both count in finwl_solves_total,
+// never in finwl_sweep_checkpoints_total.
+func TestExactRungsServeSplitTotalTime(t *testing.T) {
+	ctx := context.Background()
+	net, err := (&Request{Arch: "central", K: 5, N: 200}).BuildNetwork()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref, err := core.NewSolver(net, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	solves := obs.Default.Counter("finwl_solves_total", "")
+	checkpoints := obs.Default.Counter("finwl_sweep_checkpoints_total", "")
+	solves0, checkpoints0 := solves.Value(), checkpoints.Value()
+	s := New(Config{Seed: 1})
+	cases := []struct {
+		n    int
+		want Fidelity
+	}{{200, FidelityExact}, {201, FidelityCheckpoint}, {3, FidelityCheckpoint}}
+	for _, tc := range cases {
+		resp, err := s.Solve(ctx, &Request{Arch: "central", K: 5, N: tc.n})
+		if err != nil {
+			t.Fatalf("n=%d: %v", tc.n, err)
+		}
+		want, err := ref.SplitTotalTimeCtx(ctx, tc.n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.Fidelity != tc.want || resp.TotalTime != want || resp.Epochs != tc.n {
+			t.Errorf("n=%d: fidelity %s, E(T) %v, epochs %d; want %s, %v, %d",
+				tc.n, resp.Fidelity, resp.TotalTime, resp.Epochs, tc.want, want, tc.n)
+		}
+	}
+	// The reference solver above counted its own three answers.
+	if got := solves.Value() - solves0; got != 2*int64(len(cases)) {
+		t.Errorf("finwl_solves_total moved by %d, want %d", got, 2*len(cases))
+	}
+	if got := checkpoints.Value() - checkpoints0; got != 0 {
+		t.Errorf("finwl_sweep_checkpoints_total moved by %d, want 0", got)
 	}
 }

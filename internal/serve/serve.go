@@ -707,23 +707,15 @@ func (s *Server) runTier(ctx context.Context, rung Fidelity, net *network.Networ
 		if !reused {
 			rung = FidelityExact
 		}
-		// Both rungs run core's one epoch loop. The checkpoint rung
-		// enters it as a one-point sweep only so that
-		// finwl_sweep_checkpoints_total keeps counting answers from
-		// cached solvers.
-		var res *core.Result
-		if rung == FidelityCheckpoint {
-			var rs []*core.Result
-			if rs, err = solver.SolveSweepCtx(ctx, []int{n}); err == nil {
-				res = rs[0]
-			}
-		} else {
-			res, err = solver.SolveCtx(ctx, n)
-		}
+		// Both rungs answer through core's split E(T): a forward and a
+		// backward epoch recursion that share the work of N epochs.
+		// They differ only in the fidelity label; both count in
+		// finwl_solves_total.
+		total, err := solver.SplitTotalTimeCtx(ctx, n)
 		if err != nil {
 			return nil, err
 		}
-		return &Response{Fidelity: rung, TotalTime: res.TotalTime, Epochs: len(res.Epochs)}, nil
+		return &Response{Fidelity: rung, TotalTime: total, Epochs: n}, nil
 
 	case FidelitySteady:
 		return steadyApprox(net, k, n)

@@ -341,9 +341,11 @@ func (r *Request) dists() cluster.Dists {
 	return d
 }
 
-// maxWorkload bounds a request's n. An exact solve holds two n-long
-// result slices, so the cap keeps one request field from sizing an
-// allocation beyond the process (2^20 tasks is 16 MiB of epochs).
+// maxWorkload bounds a request's n. A /batch or /jobs sweep holds two
+// n-long result slices per job, so the cap keeps one request field
+// from sizing an allocation beyond the process (2^20 tasks is 16 MiB
+// of epochs). /solve's split E(T) holds none, but still takes O(n)
+// time.
 const maxWorkload = 1 << 20
 
 // BuildNetwork resolves the request into a validated network. Every

@@ -1,11 +1,13 @@
 // Root performance harness: the BenchmarkPerf* benchmarks track the
-// solver's three hot paths — chain construction + factorization,
-// the allocation-free epoch kernels, and incremental N-sweeps — so
+// solver's hot paths — chain construction + factorization, the
+// allocation-free epoch kernels, incremental N-sweeps, and the
+// serving path's split E(T) — so
 // every PR leaves a comparable perf trajectory. scripts/bench.sh runs
 // them and snapshots the results into BENCH_<n>.json.
 package finwl_test
 
 import (
+	"context"
 	"runtime"
 	"testing"
 
@@ -66,6 +68,21 @@ func BenchmarkPerfSolveN400K8(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := s.Solve(400); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// E(T) at N=1250 on the K=8 H2 chain through the serving path: the
+// forward and backward halves of SplitTotalTimeCtx, which run on two
+// cores when GOMAXPROCS allows.
+func BenchmarkPerfTotalTimeN1250K8H2(b *testing.B) {
+	s := perfNet(b, 8)
+	ctx := context.Background()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := s.SplitTotalTimeCtx(ctx, 1250); err != nil {
 			b.Fatal(err)
 		}
 	}

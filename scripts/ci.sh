@@ -80,6 +80,12 @@ echo "== determinism at GOMAXPROCS=4 =="
 # binaries for the host.
 GOMAXPROCS=4 go test -p 1 -count=1 ./...
 
+echo "== determinism at GOMAXPROCS=1 =="
+# One processor takes par's serial path: the split E(T)'s forward and
+# backward halves run one after the other on the calling goroutine,
+# and the solver and serving suites must pass on that path too.
+GOMAXPROCS=1 go test -count=1 ./internal/core ./internal/serve
+
 echo "== perfbench module =="
 # perfbench is a separate module that compiles against the solver's
 # public API, so an API change must keep it building and passing.
