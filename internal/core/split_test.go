@@ -22,9 +22,9 @@ import (
 // splitTol is the relative gap allowed between SplitTotalTimeCtx and
 // Solve for m = n − K feeding epochs. Both sum the same epochs, but
 // each recursion's rounding error grows with the epochs it runs: the
-// relative gap reaches 1.4e-13 at n = 2000 and 2e-12 at n = 20000 on
-// these models, and Solve's own left-to-right sum of 20,000 epochs
-// is off the exact sum of those epochs by up to 4.4e-13.
+// relative gap reaches 1.4e-13 at n = 2000 and 2.2e-12 at n = 20000 on
+// these models, while each is up to 6.3e-12 off the high-precision
+// E(T) at n = 20000 (TestSplitTotalTimeMatchesExactReference).
 func splitTol(m int) float64 { return 1e-13 + 2e-16*float64(max(m, 0)) }
 
 // splitModel is one family of the split-equivalence grid, built at
@@ -38,40 +38,54 @@ type splitModel struct {
 // splitModels are the families the split is held to: central and
 // distributed clusters at remote CV² 1, 4 and 10, a multi-server
 // station, and the slow-mixing truncated power tail of
-// examples/powertail.
+// examples/powertail, all at K = 1…8 except where the chain-size
+// guard refuses the model: distributed CV² 4 and 10 from K = 6 on,
+// distributed CV² 1 at K = 8. Under the race detector distributed
+// CV² 1 stops at K = 6, because its K = 7 chain (d_K = 6,435) takes
+// seconds to build even without the instrumentation.
 func splitModels() []splitModel {
 	app := workload.Default(30)
 	var ms []splitModel
 	for _, cv2 := range []float64{1, 4, 10} {
 		d := cluster.Dists{Remote: cluster.WithCV2(cv2)}
+		distK := 5
+		if cv2 == 1 {
+			distK = 7
+			if raceEnabled {
+				distK = 6
+			}
+		}
 		ms = append(ms,
 			splitModel{fmt.Sprintf("central-cv%g", cv2), 8, func(k int) (*network.Network, error) {
 				return cluster.Central(k, app, d, cluster.Options{})
 			}},
-			splitModel{fmt.Sprintf("distributed-cv%g", cv2), 4, func(k int) (*network.Network, error) {
+			splitModel{fmt.Sprintf("distributed-cv%g", cv2), distK, func(k int) (*network.Network, error) {
 				return cluster.Distributed(k, app, d)
 			}})
 	}
 	tpt := func(mean float64) (*phase.PH, error) { return phase.TPT(12, 1.4, mean) }
 	return append(ms,
 		splitModel{"multiserver", 8, func(int) (*network.Network, error) { return multiNet(3, 2, 1.5), nil }},
-		splitModel{"powertail", 6, func(k int) (*network.Network, error) {
+		splitModel{"powertail", 8, func(k int) (*network.Network, error) {
 			return cluster.Central(k, app, cluster.Dists{Remote: tpt}, cluster.Options{})
 		}})
 }
 
 // longSplitLevel is the largest level-K dimension at which the grid
-// runs its long workloads: n = 20000 for d_K ≤ 150 (n = 2000 runs
-// everywhere), and under the race detector, whose instrumentation
-// slows the grid about 15×, both only for d_K ≤ 30.
+// runs a long workload, whose epochs cost O(d_K) each for both the
+// split and the reference: n = 2000 for d_K ≤ 2000 (leaving out only
+// distributed CV² 4 and 10 at K = 5, d_K = 2,668, and CV² 1 at K = 7),
+// n = 20000 for d_K ≤ 300 (through central K = 8), and under the race
+// detector, whose instrumentation slows the grid about 15×, both only
+// for d_K ≤ 30. Every level runs n ≤ 10K.
 func longSplitLevel(n int) int {
 	switch {
 	case raceEnabled:
 		return 30
 	case n > 2000:
-		return 150
+		return 300
 	}
-	return math.MaxInt
+	return 2000
 }
 
 // The split E(T) agrees with Solve(n).TotalTime on every model for
@@ -171,7 +185,8 @@ func TestSplitTotalTimeDeterministicAcrossProcs(t *testing.T) {
 
 // perfSolverK8 is the serving benchmark's model: central K=8 with an
 // H2 remote disk at CV² 10. Its epochs cost enough that n ≥ 45 runs
-// the two halves in parallel when more than one processor is set.
+// the two halves in parallel when more than one processor is set; a
+// smaller n runs both on the calling goroutine.
 func perfSolverK8(t *testing.T) *Solver {
 	t.Helper()
 	net, err := cluster.Central(8, workload.Default(30), cluster.Dists{Remote: cluster.WithCV2(10)}, cluster.Options{})
@@ -212,6 +227,55 @@ func waitGoroutines(t *testing.T, base int) {
 			t.Fatalf("%d goroutines still running, want %d", runtime.NumGoroutine(), base)
 		}
 		time.Sleep(time.Millisecond)
+	}
+}
+
+// goid returns the calling goroutine's id, parsed from the
+// "goroutine N [" header of its stack trace.
+func goid() int {
+	buf := make([]byte, 64)
+	buf = buf[:runtime.Stack(buf, false)]
+	var id int
+	if _, err := fmt.Sscanf(string(buf), "goroutine %d ", &id); err != nil {
+		panic(err)
+	}
+	return id
+}
+
+// pollCtx is a live context that records the goroutine of every Err
+// poll. Both halves poll once per epoch, so the set shows where they
+// ran.
+type pollCtx struct {
+	context.Context
+	mu  sync.Mutex
+	ids map[int]bool
+}
+
+func (c *pollCtx) Err() error {
+	c.mu.Lock()
+	c.ids[goid()] = true
+	c.mu.Unlock()
+	return nil
+}
+
+// Below the cutover both halves run on the calling goroutine whatever
+// GOMAXPROCS is; above it, at GOMAXPROCS ≥ 2, the pool runs them.
+func TestSplitTotalTimeSerialBelowCutover(t *testing.T) {
+	s := perfSolverK8(t)
+	old := runtime.GOMAXPROCS(2)
+	defer runtime.GOMAXPROCS(old)
+	caller := goid()
+	for _, tc := range []struct {
+		n        int
+		parallel bool
+	}{{9, false}, {44, false}, {45, true}, {208, true}} {
+		ctx := &pollCtx{Context: context.Background(), ids: map[int]bool{}}
+		if _, err := s.SplitTotalTimeCtx(ctx, tc.n); err != nil {
+			t.Fatal(err)
+		}
+		if onCaller := len(ctx.ids) == 1 && ctx.ids[caller]; onCaller == tc.parallel {
+			t.Errorf("n=%d: epochs polled on goroutines %v (caller %d), want parallel=%v", tc.n, ctx.ids, caller, tc.parallel)
+		}
 	}
 }
 

@@ -101,7 +101,7 @@ func ForCost(ctx Ctx, n int, cost func(i int) int64, fn func(i int) error) error
 		}
 	}
 	if total < MinParallelCost || runtime.GOMAXPROCS(0) <= 1 || n <= 1 {
-		return ForErr(ctx, n, fn)
+		return serial(ctx, n, fn)
 	}
 	sort.SliceStable(order, func(a, b int) bool { return costs[order[a]] > costs[order[b]] })
 	chunk := n / (runtime.GOMAXPROCS(0) * 4)
@@ -136,29 +136,12 @@ func ForErr(ctx Ctx, n int, fn func(i int) error) error {
 	if n <= 0 {
 		return nil
 	}
-	ctxErr := func() error {
-		if ctx == nil {
-			return nil
-		}
-		if err := ctx.Err(); err != nil {
-			return &canceled{cause: err}
-		}
-		return nil
-	}
 	workers := runtime.GOMAXPROCS(0)
 	if workers > n {
 		workers = n
 	}
 	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			if err := ctxErr(); err != nil {
-				return err
-			}
-			if err := runOne(i, fn); err != nil {
-				return err
-			}
-		}
-		return nil
+		return serial(ctx, n, fn)
 	}
 
 	var (
@@ -210,7 +193,33 @@ func ForErr(ctx Ctx, n int, fn func(i int) error) error {
 	if err != nil {
 		return err
 	}
-	return ctxErr()
+	return ctxErr(ctx)
+}
+
+// serial runs fn(0), …, fn(n−1) in order on the calling goroutine,
+// polling ctx before each iteration, and stops at the first failure.
+func serial(ctx Ctx, n int, fn func(i int) error) error {
+	for i := 0; i < n; i++ {
+		if err := ctxErr(ctx); err != nil {
+			return err
+		}
+		if err := runOne(i, fn); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// ctxErr returns ctx's cancellation as the typed error, or nil when
+// ctx is nil or live.
+func ctxErr(ctx Ctx) error {
+	if ctx == nil {
+		return nil
+	}
+	if err := ctx.Err(); err != nil {
+		return &canceled{cause: err}
+	}
+	return nil
 }
 
 // canceled adapts a raw ctx.Err() into the typed-error contract

@@ -174,12 +174,22 @@ func TestForErrNoGoroutineLeak(t *testing.T) {
 }
 
 // ForCost below the cutover must run serially in index order on the
-// calling goroutine — no pool overhead for small chains.
+// calling goroutine — no pool overhead for small chains — however many
+// processors are set.
 func TestForCostSerialBelowCutover(t *testing.T) {
+	old := runtime.GOMAXPROCS(4)
+	defer runtime.GOMAXPROCS(old)
+	caller := goid()
 	var order []int
 	err := ForCost(nil, 8,
 		func(i int) int64 { return 10 }, // total 80 ≪ MinParallelCost
-		func(i int) error { order = append(order, i); return nil })
+		func(i int) error {
+			if id := goid(); id != caller {
+				return fmt.Errorf("item %d ran on goroutine %d, want the caller's %d", i, id, caller)
+			}
+			order = append(order, i)
+			return nil
+		})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,6 +201,18 @@ func TestForCostSerialBelowCutover(t *testing.T) {
 	if len(order) != 8 {
 		t.Fatalf("visited %d items, want 8", len(order))
 	}
+}
+
+// goid returns the calling goroutine's id, parsed from the
+// "goroutine N [" header of its stack trace.
+func goid() int {
+	buf := make([]byte, 64)
+	buf = buf[:runtime.Stack(buf, false)]
+	var id int
+	if _, err := fmt.Sscanf(string(buf), "goroutine %d ", &id); err != nil {
+		panic(err)
+	}
+	return id
 }
 
 // Above the cutover every index still runs exactly once, whatever the
