@@ -23,8 +23,8 @@ package multiclass
 
 import (
 	"fmt"
-	"math"
 
+	"finwl/internal/check"
 	"finwl/internal/matrix"
 	"finwl/internal/statespace"
 )
@@ -50,66 +50,90 @@ type Config struct {
 	Entry [][]float64
 }
 
-// Validate checks dimensions and probability structure.
+// Validate checks dimensions, finiteness and probability structure,
+// and that no class can be trapped: every station a class reaches from
+// its entry vector must have a route on to an exit, or its tasks could
+// circulate forever (I−P singular for the solver, an endless run for
+// the simulator). Every refusal matches check.ErrInvalidModel.
 func (cfg *Config) Validate() error {
 	m := len(cfg.Stations)
 	if m == 0 {
-		return fmt.Errorf("multiclass: no stations")
+		return check.Invalid("multiclass: no stations")
 	}
 	if cfg.Classes < 1 {
-		return fmt.Errorf("multiclass: %d classes", cfg.Classes)
+		return check.Invalid("multiclass: %d classes", cfg.Classes)
 	}
 	for st, s := range cfg.Stations {
 		if s.Kind != statespace.Delay && s.Kind != statespace.Queue {
-			return fmt.Errorf("multiclass: station %d kind %v unsupported", st, s.Kind)
+			return check.Invalid("multiclass: station %d kind %v unsupported", st, s.Kind)
 		}
 	}
 	if len(cfg.Rates) != m {
-		return fmt.Errorf("multiclass: rates for %d stations, want %d", len(cfg.Rates), m)
+		return check.Invalid("multiclass: rates for %d stations, want %d", len(cfg.Rates), m)
 	}
-	for st := range cfg.Rates {
-		if len(cfg.Rates[st]) != cfg.Classes {
-			return fmt.Errorf("multiclass: station %d has %d class rates", st, len(cfg.Rates[st]))
+	for st, rates := range cfg.Rates {
+		if len(rates) != cfg.Classes {
+			return check.Invalid("multiclass: station %d has %d class rates", st, len(rates))
 		}
-		for c, r := range cfg.Rates[st] {
-			if r <= 0 {
-				return fmt.Errorf("multiclass: rate[%d][%d] = %v", st, c, r)
-			}
+		if err := check.PositiveVec(fmt.Sprintf("multiclass: station %d rate", st), rates); err != nil {
+			return err
 		}
 	}
 	if len(cfg.Route) != cfg.Classes || len(cfg.Exit) != cfg.Classes || len(cfg.Entry) != cfg.Classes {
-		return fmt.Errorf("multiclass: routing/exit/entry not per-class")
+		return check.Invalid("multiclass: routing/exit/entry not per-class")
 	}
-	for c := 0; c < cfg.Classes; c++ {
-		if cfg.Route[c].Rows() != m || cfg.Route[c].Cols() != m {
-			return fmt.Errorf("multiclass: class %d routing is %dx%d", c, cfg.Route[c].Rows(), cfg.Route[c].Cols())
+	for c, route := range cfg.Route {
+		if route == nil || route.Rows() != m || route.Cols() != m || len(cfg.Exit[c]) != m || len(cfg.Entry[c]) != m {
+			return check.Invalid("multiclass: class %d routing, exit or entry not sized for %d stations", c, m)
 		}
-		var entrySum float64
 		for st := 0; st < m; st++ {
-			rowSum := cfg.Exit[c][st]
-			if rowSum < 0 {
-				return fmt.Errorf("multiclass: negative exit class %d station %d", c, st)
+			row := append(append([]float64(nil), route.RawRow(st)...), cfg.Exit[c][st])
+			if err := check.StochasticRow(fmt.Sprintf("multiclass: class %d station %d routing+exit", c, st), row); err != nil {
+				return err
 			}
-			for j := 0; j < m; j++ {
-				v := cfg.Route[c].At(st, j)
-				if v < 0 {
-					return fmt.Errorf("multiclass: negative routing class %d (%d,%d)", c, st, j)
-				}
-				rowSum += v
-			}
-			if math.Abs(rowSum-1) > 1e-9 {
-				return fmt.Errorf("multiclass: class %d station %d routing+exit = %v", c, st, rowSum)
-			}
-			if cfg.Entry[c][st] < 0 {
-				return fmt.Errorf("multiclass: negative entry class %d station %d", c, st)
-			}
-			entrySum += cfg.Entry[c][st]
 		}
-		if math.Abs(entrySum-1) > 1e-9 {
-			return fmt.Errorf("multiclass: class %d entry sums to %v", c, entrySum)
+		if err := check.ProbVec(fmt.Sprintf("multiclass: class %d entry", c), cfg.Entry[c]); err != nil {
+			return err
+		}
+		if st := cfg.trapped(c); st >= 0 {
+			return check.Invalid("multiclass: class %d reaches station %d (%s) but cannot exit from it", c, st, cfg.Stations[st].Name)
 		}
 	}
 	return nil
+}
+
+// trapped returns a station class c reaches from its entry vector but
+// has no route from to an exit, or -1 when there is none.
+func (cfg *Config) trapped(c int) int {
+	m := len(cfg.Stations)
+	leaves, reached := make([]bool, m), make([]bool, m)
+	for st := 0; st < m; st++ {
+		leaves[st], reached[st] = cfg.Exit[c][st] > 0, cfg.Entry[c][st] > 0
+	}
+	edge := cfg.Route[c].At
+	grow(leaves, func(i, j int) bool { return edge(i, j) > 0 })
+	grow(reached, func(i, j int) bool { return edge(j, i) > 0 })
+	for st := 0; st < m; st++ {
+		if reached[st] && !leaves[st] {
+			return st
+		}
+	}
+	return -1
+}
+
+// grow marks every station i with an edge(i, j) to a marked station j,
+// until no more join.
+func grow(marked []bool, edge func(i, j int) bool) {
+	for grew := true; grew; {
+		grew = false
+		for i := range marked {
+			for j := range marked {
+				if !marked[i] && marked[j] && edge(i, j) {
+					marked[i], grew = true, true
+				}
+			}
+		}
+	}
 }
 
 // State layout: delay stations store C counts; queue stations store C

@@ -1,9 +1,11 @@
 package multiclass
 
 import (
+	"errors"
 	"math"
 	"testing"
 
+	"finwl/internal/check"
 	"finwl/internal/core"
 	"finwl/internal/matrix"
 	"finwl/internal/network"
@@ -199,20 +201,75 @@ func TestValidateRejections(t *testing.T) {
 	if err := good.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	bad := twoClassCfg([2]float64{1, 1}, [2]float64{1, 1}, [2]float64{1, 1}, 0.5)
-	bad.Rates[0][1] = -1
-	if err := bad.Validate(); err == nil {
-		t.Fatal("accepted negative rate")
+	for name, spoil := range map[string]func(*Config){
+		"negative rate":     func(c *Config) { c.Rates[0][1] = -1 },
+		"NaN rate":          func(c *Config) { c.Rates[1][0] = math.NaN() },
+		"+Inf rate":         func(c *Config) { c.Rates[2][1] = math.Inf(1) },
+		"NaN exit":          func(c *Config) { c.Exit[0][0] = math.NaN() },
+		"NaN routing":       func(c *Config) { c.Route[1].Set(0, 1, math.NaN()) },
+		"+Inf entry":        func(c *Config) { c.Entry[0][1] = math.Inf(1) },
+		"entry sum not 1":   func(c *Config) { c.Entry[1] = []float64{0.5, 0, 0} },
+		"short entry":       func(c *Config) { c.Entry[1] = []float64{1} },
+		"nil routing":       func(c *Config) { c.Route[0] = nil },
+		"multi station":     func(c *Config) { c.Stations[0].Kind = statespace.Multi },
+		"class never exits": func(c *Config) { c.Exit[1][0] = 0; c.Route[1].Set(0, 1, 0.75) },
+	} {
+		bad := twoClassCfg([2]float64{1, 1}, [2]float64{1, 1}, [2]float64{1, 1}, 0.5)
+		spoil(bad)
+		if err := bad.Validate(); !errors.Is(err, check.ErrInvalidModel) {
+			t.Errorf("%s: Validate = %v, want ErrInvalidModel", name, err)
+		}
+		if _, _, err := Replicate(bad, Workload{Counts: []int{2, 2}, K: 2}, 1, 4); !errors.Is(err, check.ErrInvalidModel) {
+			t.Errorf("%s: Replicate = %v, want ErrInvalidModel", name, err)
+		}
 	}
-	bad2 := twoClassCfg([2]float64{1, 1}, [2]float64{1, 1}, [2]float64{1, 1}, 0.5)
-	bad2.Entry[1] = []float64{0.5, 0, 0}
-	if err := bad2.Validate(); err == nil {
-		t.Fatal("accepted entry not summing to 1")
+	if _, _, err := Replicate(good, Workload{Counts: []int{2, 2}, K: 2}, 1, 1); !errors.Is(err, check.ErrInvalidModel) {
+		t.Errorf("Replicate with one replication = %v, want ErrInvalidModel", err)
 	}
-	bad3 := twoClassCfg([2]float64{1, 1}, [2]float64{1, 1}, [2]float64{1, 1}, 0.5)
-	bad3.Stations[0].Kind = statespace.Multi
-	if err := bad3.Validate(); err == nil {
-		t.Fatal("accepted multi station")
+}
+
+// A class with no way out would circulate forever: the solver and the
+// simulator must both refuse it up front, typed, instead of failing to
+// factor or running without end.
+func TestTrappedClassRefused(t *testing.T) {
+	cfg := twoClassCfg([2]float64{2, 0.8}, [2]float64{4, 2}, [2]float64{1.2, 0.6}, 0)
+	if err := cfg.Validate(); !errors.Is(err, check.ErrInvalidModel) {
+		t.Fatalf("Validate = %v, want ErrInvalidModel", err)
+	}
+	if _, err := NewSolver(cfg); !errors.Is(err, check.ErrInvalidModel) {
+		t.Fatalf("NewSolver = %v, want ErrInvalidModel", err)
+	}
+	if _, err := Simulate(cfg, Workload{Counts: []int{2, 1}, K: 2}, 1); !errors.Is(err, check.ErrInvalidModel) {
+		t.Fatalf("Simulate = %v, want ErrInvalidModel", err)
+	}
+	// A station the entry vector never reaches may be a dead end.
+	cfg = twoClassCfg([2]float64{2, 0.8}, [2]float64{4, 2}, [2]float64{1.2, 0.6}, 0.5)
+	for c := 0; c < 2; c++ {
+		cfg.Route[c].Set(0, 2, 0)
+		cfg.Route[c].Set(0, 1, 0.5)
+		cfg.Route[c].Set(2, 0, 0)
+		cfg.Route[c].Set(2, 2, 1) // Disk loops on itself, but nothing enters it
+	}
+	if err := cfg.Validate(); err != nil {
+		t.Fatalf("unreachable dead end refused: %v", err)
+	}
+}
+
+// Replicate runs its replications in parallel; the result must still
+// be the same bits on every call.
+func TestReplicateDeterministic(t *testing.T) {
+	cfg := twoClassCfg([2]float64{2, 0.8}, [2]float64{4, 2}, [2]float64{1.2, 0.6}, 0.2)
+	w := Workload{Counts: []int{5, 4}, K: 3, Policy: Proportional}
+	m1, ci1, err := Replicate(cfg, w, 3, 256)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m2, ci2, err := Replicate(cfg, w, 3, 256)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if math.Float64bits(m1) != math.Float64bits(m2) || math.Float64bits(ci1) != math.Float64bits(ci2) {
+		t.Fatalf("Replicate not deterministic: %v ± %v vs %v ± %v", m1, ci1, m2, ci2)
 	}
 }
 

@@ -1,10 +1,10 @@
 package multiclass
 
 import (
-	"fmt"
-	"math"
+	"context"
 	"math/rand"
 
+	"finwl/internal/sim"
 	"finwl/internal/statespace"
 )
 
@@ -13,204 +13,85 @@ import (
 // queues, policy-driven admission, immediate replacement. It returns
 // the job completion time.
 func Simulate(cfg *Config, w Workload, seed int64) (float64, error) {
-	if err := cfg.Validate(); err != nil {
+	sc, err := cfg.simConfig(w, seed)
+	if err != nil {
 		return 0, err
 	}
-	total := 0
-	for _, n := range w.Counts {
-		total += n
-	}
-	if total < 1 || w.K < 1 {
-		return 0, fmt.Errorf("multiclass: bad workload %+v", w)
-	}
-	rng := rand.New(rand.NewSource(seed))
-	m := len(cfg.Stations)
-
-	type ev struct {
-		time    float64
-		seq     int
-		station int
-		class   int
-	}
-	var events []ev
-	push := func(e ev) {
-		events = append(events, e)
-		up := len(events) - 1
-		for up > 0 {
-			parent := (up - 1) / 2
-			if events[parent].time < events[up].time ||
-				(events[parent].time == events[up].time && events[parent].seq < events[up].seq) {
-				break
-			}
-			events[parent], events[up] = events[up], events[parent]
-			up = parent
-		}
-	}
-	pop := func() ev {
-		top := events[0]
-		last := len(events) - 1
-		events[0] = events[last]
-		events = events[:last]
-		i := 0
-		for {
-			l, r := 2*i+1, 2*i+2
-			small := i
-			less := func(a, b int) bool {
-				return events[a].time < events[b].time ||
-					(events[a].time == events[b].time && events[a].seq < events[b].seq)
-			}
-			if l < len(events) && less(l, small) {
-				small = l
-			}
-			if r < len(events) && less(r, small) {
-				small = r
-			}
-			if small == i {
-				break
-			}
-			events[i], events[small] = events[small], events[i]
-			i = small
-		}
-		return top
-	}
-	var (
-		now     float64
-		seq     int
-		queued  = append([]int(nil), w.Counts...)
-		waiting = make([][]int, m) // class of each waiting customer at queue stations
-		busy    = make([]bool, m)
-	)
-
-	schedule := func(st, class int) {
-		seq++
-		push(ev{time: now + rng.ExpFloat64()/cfg.Rates[st][class], seq: seq, station: st, class: class})
-	}
-	arrive := func(st, class int) {
-		if cfg.Stations[st].Kind == statespace.Delay {
-			schedule(st, class)
-			return
-		}
-		if busy[st] {
-			waiting[st] = append(waiting[st], class)
-		} else {
-			busy[st] = true
-			schedule(st, class)
-		}
-	}
-	admit := func() bool {
-		totalQueued := 0
-		for _, q := range queued {
-			totalQueued += q
-		}
-		if totalQueued == 0 {
-			return false
-		}
-		class := -1
-		switch w.Policy {
-		case PriorityOrder:
-			for c, q := range queued {
-				if q > 0 {
-					class = c
-					break
-				}
-			}
-		default:
-			u := rng.Intn(totalQueued)
-			for c, q := range queued {
-				if u < q {
-					class = c
-					break
-				}
-				u -= q
-			}
-		}
-		queued[class]--
-		entry := cfg.Entry[class]
-		u := rng.Float64()
-		var cum float64
-		st := len(entry) - 1
-		for j, p := range entry {
-			cum += p
-			if u < cum {
-				st = j
-				break
-			}
-		}
-		arrive(st, class)
-		return true
-	}
-
-	admitN := w.K
-	if admitN > total {
-		admitN = total
-	}
-	for i := 0; i < admitN; i++ {
-		admit()
-	}
-
-	departed := 0
-	for departed < total {
-		if len(events) == 0 {
-			return 0, fmt.Errorf("multiclass: deadlock at %v", now)
-		}
-		e := pop()
-		now = e.time
-		st, class := e.station, e.class
-		if cfg.Stations[st].Kind == statespace.Queue {
-			if len(waiting[st]) > 0 {
-				// ROS: draw the next customer uniformly.
-				idx := rng.Intn(len(waiting[st]))
-				next := waiting[st][idx]
-				waiting[st][idx] = waiting[st][len(waiting[st])-1]
-				waiting[st] = waiting[st][:len(waiting[st])-1]
-				schedule(st, next)
-			} else {
-				busy[st] = false
-			}
-		}
-		// Route or exit.
-		u := rng.Float64()
-		cum := cfg.Exit[class][st]
-		if u < cum {
-			departed++
-			admit()
-			continue
-		}
-		dst := -1
-		for j := 0; j < m; j++ {
-			cum += cfg.Route[class].At(st, j)
-			if u < cum {
-				dst = j
-				break
-			}
-		}
-		if dst < 0 {
-			dst = m - 1
-		}
-		arrive(dst, class)
-	}
-	return now, nil
+	return sim.RunClasses(context.Background(), sc)
 }
 
-// Replicate averages Simulate over seeds seed..seed+reps−1 and
-// returns the mean and its 95% CI half-width.
+// Replicate averages Simulate over seeds seed..seed+reps−1, run in
+// parallel, and returns the mean and its 95% CI half-width.
 func Replicate(cfg *Config, w Workload, seed int64, reps int) (mean, ci float64, err error) {
-	if reps < 2 {
-		return 0, 0, fmt.Errorf("multiclass: need >= 2 replications")
+	sc, err := cfg.simConfig(w, seed)
+	if err != nil {
+		return 0, 0, err
 	}
-	totals := make([]float64, reps)
-	for r := 0; r < reps; r++ {
-		totals[r], err = Simulate(cfg, w, seed+int64(r))
-		if err != nil {
-			return 0, 0, err
+	return sim.ReplicateClasses(context.Background(), sc, reps)
+}
+
+// simConfig validates cfg and w and hands the simulator the model's
+// laws as hooks: exponential service at the per-class rates, per-class
+// routing, and w's admission policy.
+func (cfg *Config) simConfig(w Workload, seed int64) (sim.ClassConfig, error) {
+	if err := cfg.Validate(); err != nil {
+		return sim.ClassConfig{}, err
+	}
+	if _, err := w.validate(cfg.Classes); err != nil {
+		return sim.ClassConfig{}, err
+	}
+	m := len(cfg.Stations)
+	kinds := make([]statespace.Kind, m)
+	for st, s := range cfg.Stations {
+		kinds[st] = s.Kind
+	}
+	return sim.ClassConfig{
+		Kinds:  kinds,
+		Entry:  cfg.Entry,
+		Counts: w.Counts,
+		K:      w.K,
+		Seed:   seed,
+		Service: func(rng *rand.Rand, st, class int) float64 {
+			return rng.ExpFloat64() / cfg.Rates[st][class]
+		},
+		Route: func(rng *rand.Rand, st, class int) (int, bool) {
+			u := rng.Float64()
+			cum := cfg.Exit[class][st]
+			if u < cum {
+				return 0, true
+			}
+			for j := 0; j < m; j++ {
+				cum += cfg.Route[class].At(st, j)
+				if u < cum {
+					return j, false
+				}
+			}
+			return m - 1, false // round-off tail
+		},
+		Pick: w.Policy.pick,
+	}, nil
+}
+
+// pick draws the class of the next admitted task from the per-class
+// queued counts, at least one of which is positive.
+func (p Policy) pick(rng *rand.Rand, queued []int) int {
+	if p == PriorityOrder {
+		for c, q := range queued {
+			if q > 0 {
+				return c
+			}
 		}
-		mean += totals[r]
 	}
-	mean /= float64(reps)
-	var ss float64
-	for _, v := range totals {
-		ss += (v - mean) * (v - mean)
+	total := 0
+	for _, q := range queued {
+		total += q
 	}
-	sd := math.Sqrt(ss / float64(reps-1))
-	return mean, 1.96 * sd / math.Sqrt(float64(reps)), nil
+	u := rng.Intn(total)
+	for c, q := range queued {
+		if u < q {
+			return c
+		}
+		u -= q
+	}
+	return len(queued) - 1 // unreachable while a task is queued
 }

@@ -29,6 +29,27 @@ type Workload struct {
 	Policy Policy
 }
 
+// validate checks w against a network of the given class count and
+// returns its total task count.
+func (w Workload) validate(classes int) (total int, err error) {
+	if len(w.Counts) != classes {
+		return 0, check.Invalid("multiclass: %d class counts for %d classes", len(w.Counts), classes)
+	}
+	for c, n := range w.Counts {
+		if n < 0 {
+			return 0, check.Invalid("multiclass: negative count for class %d", c)
+		}
+		total += n
+	}
+	if total < 1 {
+		return 0, check.Invalid("multiclass: empty workload")
+	}
+	if w.K < 1 {
+		return 0, check.Invalid("multiclass: K must be >= 1, got %d", w.K)
+	}
+	return total, nil
+}
+
 // Result is the transient solution.
 type Result struct {
 	TotalTime float64
@@ -227,21 +248,9 @@ func (s *Solver) Solve(w Workload) (*Result, error) {
 // SolveCtx is Solve under a context: cancellation is polled once per
 // departure epoch and surfaces as a check.ErrCanceled-matching error.
 func (s *Solver) SolveCtx(ctx context.Context, w Workload) (*Result, error) {
-	if len(w.Counts) != s.cfg.Classes {
-		return nil, check.Invalid("multiclass: %d class counts for %d classes", len(w.Counts), s.cfg.Classes)
-	}
-	total := 0
-	for c, n := range w.Counts {
-		if n < 0 {
-			return nil, check.Invalid("multiclass: negative count for class %d", c)
-		}
-		total += n
-	}
-	if total < 1 {
-		return nil, check.Invalid("multiclass: empty workload")
-	}
-	if w.K < 1 {
-		return nil, check.Invalid("multiclass: K must be >= 1, got %d", w.K)
+	total, err := w.validate(s.cfg.Classes)
+	if err != nil {
+		return nil, err
 	}
 	admit := w.K
 	if admit > total {
@@ -257,7 +266,6 @@ func (s *Solver) SolveCtx(ctx context.Context, w Workload) (*Result, error) {
 		weight: 1,
 	}
 	nodes := []node{start}
-	var err error
 	for i := 0; i < admit; i++ {
 		nodes, err = s.admitOne(nodes, w.Policy)
 		if err != nil {

@@ -217,7 +217,7 @@ func (d *PH) PDF0() float64 {
 // hold an exponential time in each visited phase, move by Trans, and
 // stop on service completion.
 func (d *PH) Sample(rng *rand.Rand) float64 {
-	ph := samplePMF(rng, d.Alpha)
+	ph := SamplePMF(rng, d.Alpha)
 	var t float64
 	for {
 		t += rng.ExpFloat64() / d.Rates[ph]
@@ -239,8 +239,9 @@ func (d *PH) Sample(rng *rand.Rand) float64 {
 	}
 }
 
-// samplePMF draws an index from a probability vector.
-func samplePMF(rng *rand.Rand, pmf []float64) int {
+// SamplePMF draws an index from a probability vector with one uniform
+// draw.
+func SamplePMF(rng *rand.Rand, pmf []float64) int {
 	u := rng.Float64()
 	var cum float64
 	for i, p := range pmf {

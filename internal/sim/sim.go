@@ -6,11 +6,12 @@
 // replication with confidence intervals. The paper validates its
 // model by simulation; this package plays that role here, and the
 // integration tests require the analytic and simulated results to
-// agree within the CI.
+// agree within the CI. One event loop (kernel.go) serves the finite
+// workload (Run), the job stream (RunStream) and the multiclass
+// workload (RunClasses).
 package sim
 
 import (
-	"container/heap"
 	"context"
 	"fmt"
 	"math"
@@ -19,14 +20,7 @@ import (
 
 	"finwl/internal/check"
 	"finwl/internal/network"
-	"finwl/internal/par"
-	"finwl/internal/statespace"
 )
-
-// cancelCheckInterval is how many events the DES processes between
-// context polls: frequent enough that a cancel lands within
-// microseconds, rare enough to stay invisible in the event loop cost.
-const cancelCheckInterval = 1024
 
 // Config describes one simulation scenario.
 type Config struct {
@@ -58,33 +52,6 @@ type RunResult struct {
 	Total float64
 }
 
-// event is a pending service completion.
-type event struct {
-	time    float64
-	seq     int // tie-break for determinism
-	task    int
-	station int
-}
-
-type eventHeap []event
-
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].time != h[j].time {
-		return h[i].time < h[j].time
-	}
-	return h[i].seq < h[j].seq
-}
-func (h eventHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *eventHeap) Push(x interface{}) { *h = append(*h, x.(event)) }
-func (h *eventHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	e := old[n-1]
-	*h = old[:n-1]
-	return e
-}
-
 // Run simulates one replication.
 func Run(cfg Config) (*RunResult, error) {
 	return RunCtx(context.Background(), cfg)
@@ -95,134 +62,48 @@ func Run(cfg Config) (*RunResult, error) {
 // error when canceled, so even a pathologically long replication can
 // be abandoned promptly.
 func RunCtx(ctx context.Context, cfg Config) (*RunResult, error) {
-	if cfg.Net == nil {
-		return nil, check.Invalid("sim: nil network")
-	}
-	if err := cfg.Net.Validate(); err != nil {
+	k, err := netKernel(cfg.Net, cfg.Samplers, cfg.K, cfg.N)
+	if err != nil {
 		return nil, err
 	}
-	if cfg.K < 1 || cfg.N < 1 {
-		return nil, check.Invalid("sim: K=%d N=%d, want both >= 1", cfg.K, cfg.N)
+	k.jobs, k.record, k.maxEvents = 1, true, cfg.MaxEvents
+	if err := k.run(ctx, cfg.Seed); err != nil {
+		return nil, err
 	}
-	net := cfg.Net
-	rng := rand.New(rand.NewSource(cfg.Seed))
-	m := len(net.Stations)
-
-	var (
-		events   eventHeap
-		seq      int
-		now      float64
-		queues   = make([][]int, m) // waiting tasks at queue/multi stations
-		busy     = make([]int, m)   // busy servers at queue/multi stations
-		started  = 0                // tasks admitted so far
-		departed []float64
-	)
-
-	servers := func(st int) int {
-		if net.Stations[st].Kind == statespace.Multi {
-			return net.Stations[st].Servers
-		}
-		return 1
-	}
-
-	sampleService := func(st int) float64 {
-		if cfg.Samplers != nil && st < len(cfg.Samplers) && cfg.Samplers[st] != nil {
-			return cfg.Samplers[st](rng)
-		}
-		return net.Stations[st].Service.Sample(rng)
-	}
-
-	schedule := func(task, st int) {
-		seq++
-		heap.Push(&events, event{
-			time:    now + sampleService(st),
-			seq:     seq,
-			task:    task,
-			station: st,
-		})
-	}
-
-	// arrive places a task at a station.
-	arrive := func(task, st int) {
-		switch net.Stations[st].Kind {
-		case statespace.Delay:
-			schedule(task, st)
-		case statespace.Queue, statespace.Multi:
-			if busy[st] >= servers(st) {
-				queues[st] = append(queues[st], task)
-			} else {
-				busy[st]++
-				schedule(task, st)
-			}
-		}
-	}
-
-	// enter admits a fresh task from the workload queue.
-	enter := func() {
-		task := started
-		started++
-		arrive(task, sampleIndex(rng, net.Entry))
-	}
-
-	for i := 0; i < cfg.K && i < cfg.N; i++ {
-		enter()
-	}
-
-	processed := 0
-	for len(departed) < cfg.N {
-		if processed%cancelCheckInterval == 0 {
-			if err := check.Canceled(ctx); err != nil {
-				return nil, err
-			}
-		}
-		if cfg.MaxEvents > 0 && processed >= cfg.MaxEvents {
-			return nil, fmt.Errorf("sim: %d of %d tasks done after %d events (tasks may never exit): %w",
-				len(departed), cfg.N, processed, check.ErrNotConverged)
-		}
-		processed++
-		if events.Len() == 0 {
-			return nil, check.Invalid("sim: event list empty before workload finished (deadlocked network?)")
-		}
-		ev := heap.Pop(&events).(event)
-		now = ev.time
-		st := ev.station
-
-		// Free the server and start the next waiting task, if any.
-		if k := net.Stations[st].Kind; k == statespace.Queue || k == statespace.Multi {
-			if len(queues[st]) > 0 {
-				next := queues[st][0]
-				queues[st] = queues[st][1:]
-				schedule(next, st)
-			} else {
-				busy[st]--
-			}
-		}
-
-		// Route the completing task.
-		dst, exits := sampleRoute(rng, net, st)
-		if exits {
-			departed = append(departed, now)
-			if started < cfg.N {
-				enter()
-			}
-			continue
-		}
-		arrive(ev.task, dst)
-	}
-	return &RunResult{Departures: departed, Total: departed[len(departed)-1]}, nil
+	return &RunResult{Departures: k.departures, Total: k.drain}, nil
 }
 
-// sampleIndex draws an index from a probability vector.
-func sampleIndex(rng *rand.Rand, pmf []float64) int {
-	u := rng.Float64()
-	var cum float64
-	for i, p := range pmf {
-		cum += p
-		if u < cum {
-			return i
-		}
+// netKernel validates net and builds its kernel: FIFO stations with
+// the network's phase-type service laws, overridden per station by any
+// non-nil entry of samplers, admitting jobs of jobTasks tasks up to
+// limit at a time.
+func netKernel(net *network.Network, samplers []func(*rand.Rand) float64, limit, jobTasks int) (*kernel, error) {
+	if net == nil {
+		return nil, check.Invalid("sim: nil network")
 	}
-	return len(pmf) - 1
+	if err := net.Validate(); err != nil {
+		return nil, err
+	}
+	if limit < 1 || jobTasks < 1 {
+		return nil, check.Invalid("sim: K=%d with %d tasks per job, want both >= 1", limit, jobTasks)
+	}
+	k := &kernel{
+		servers: make([]int, len(net.Stations)),
+		entry:   [][]float64{net.Entry},
+		service: func(rng *rand.Rand, st, _ int) float64 {
+			if st < len(samplers) && samplers[st] != nil {
+				return samplers[st](rng)
+			}
+			return net.Stations[st].Service.Sample(rng)
+		},
+		route:    func(rng *rand.Rand, st, _ int) (int, bool) { return sampleRoute(rng, net, st) },
+		limit:    limit,
+		jobTasks: jobTasks,
+	}
+	for st, s := range net.Stations {
+		k.servers[st] = serverCount(s.Kind, s.Servers)
+	}
+	return k, nil
 }
 
 // sampleRoute draws the routing outcome after service at station st.
@@ -290,55 +171,27 @@ func Replicate(cfg Config, reps int) (*Replicated, error) {
 // worker goroutine has exited before it returns, and a worker panic
 // comes back as a wrapped error instead of killing the process.
 func ReplicateCtx(ctx context.Context, cfg Config, reps int) (*Replicated, error) {
-	if reps < 2 {
-		return nil, check.Invalid("sim: need at least 2 replications, got %d", reps)
-	}
-	totals := make([]float64, reps)
-	deps := make([][]float64, reps) // per-replicate slots, reduced in index order
-	err := par.ForErr(ctx, reps, func(r int) error {
+	runs, err := replicate(ctx, cfg.Seed, reps, func(seed int64) (*RunResult, error) {
 		c := cfg
-		c.Seed = cfg.Seed + int64(r)
-		res, err := RunCtx(ctx, c)
-		if err != nil {
-			return err
-		}
-		totals[r] = res.Total
-		deps[r] = res.Departures
-		return nil
+		c.Seed = seed
+		return RunCtx(ctx, c)
 	})
 	if err != nil {
 		return nil, err
 	}
-	epochSums := make([]float64, cfg.N)
-	depSums := make([]float64, cfg.N)
-	for _, ds := range deps {
-		prev := 0.0
-		for i, d := range ds {
-			epochSums[i] += d - prev
-			depSums[i] += d
-			prev = d
+	out := &Replicated{Reps: reps, Totals: make([]float64, reps)}
+	for r, res := range runs {
+		out.Totals[r] = res.Total
+	}
+	out.MeanEpochs, _ = columns(runs, cfg.N, func(res *RunResult, i int) float64 {
+		if i == 0 {
+			return res.Departures[0]
 		}
-	}
-	var mean, ss float64
-	for _, v := range totals {
-		mean += v
-	}
-	mean /= float64(reps)
-	for _, v := range totals {
-		ss += (v - mean) * (v - mean)
-	}
-	sd := math.Sqrt(ss / float64(reps-1))
-	out := &Replicated{
-		Reps:       reps,
-		MeanTotal:  mean,
-		TotalCI95:  1.96 * sd / math.Sqrt(float64(reps)),
-		MeanEpochs: epochSums,
-		MeanDeps:   depSums,
-		Totals:     totals,
-	}
-	for i := range out.MeanEpochs {
-		out.MeanEpochs[i] /= float64(reps)
-		out.MeanDeps[i] /= float64(reps)
-	}
+		return res.Departures[i] - res.Departures[i-1]
+	})
+	out.MeanDeps, _ = columns(runs, cfg.N, func(res *RunResult, i int) float64 { return res.Departures[i] })
+	var sd float64
+	out.MeanTotal, sd = meanSD(out.Totals)
+	out.TotalCI95 = 1.96 * sd / math.Sqrt(float64(reps))
 	return out, nil
 }

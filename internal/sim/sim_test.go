@@ -101,6 +101,23 @@ func TestReplicateDeterministicUnderParallelism(t *testing.T) {
 	}
 }
 
+// Once an open stream has drained, the event list runs empty; the
+// probes past that point must read an empty system.
+func TestStreamDrainedProbes(t *testing.T) {
+	n := singleStation(statespace.Queue, phase.MustExpo(1))
+	res, err := RunStream(StreamConfig{Net: n, K: 2, JobTasks: 3, Jobs: 2, Arrival: phase.MustExpo(1),
+		Probes: []float64{0, 1e9, 2e9}, Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.TasksAt[0] != 3 || res.TasksAt[1] != 0 || res.TasksAt[2] != 0 {
+		t.Fatalf("tasks at probes %v, want [3 0 0]", res.TasksAt)
+	}
+	if !(res.Drain > 0 && res.Drain < 1e9) {
+		t.Fatalf("drain %v, want a finite time before the late probes", res.Drain)
+	}
+}
+
 func TestDeparturesSortedAndCounted(t *testing.T) {
 	app := workload.Default(25)
 	net, err := cluster.Central(4, app, cluster.Dists{}, cluster.Options{})

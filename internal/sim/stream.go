@@ -1,25 +1,21 @@
-// Stream simulation: the discrete-event twin of internal/stream.
-// Jobs of JobTasks tasks arrive while earlier ones drain — by a
-// phase-type renewal process (open mode) or from a finite pool of
-// customers with phase-type think times (closed mode). The sampler
-// draws from exactly the laws the solver embeds (the same PH objects,
-// the same FIFO admission and FIFO job attribution), so solver vs sim
-// discrepancies measure implementation error, not model distance.
+// Stream simulation: the kernel's job sources, the discrete-event
+// counterpart of internal/stream. Jobs of JobTasks tasks arrive while
+// earlier ones drain — by a phase-type renewal process (open mode) or
+// from a finite pool of customers with phase-type think times (closed
+// mode). The sampler draws from exactly the laws the solver embeds
+// (the same PH objects, the same FIFO admission and FIFO job
+// attribution), so solver vs sim discrepancies measure implementation
+// error, not model distance.
 
 package sim
 
 import (
-	"container/heap"
 	"context"
-	"fmt"
 	"math"
-	"math/rand"
 
 	"finwl/internal/check"
 	"finwl/internal/network"
-	"finwl/internal/par"
 	"finwl/internal/phase"
-	"finwl/internal/statespace"
 )
 
 // StreamConfig describes one job-stream scenario; the fields mirror
@@ -49,67 +45,6 @@ type StreamResult struct {
 	Drain   float64   // open mode: time of the last departure
 }
 
-// streamEvent kinds.
-const (
-	evService = iota
-	evArrival
-	evThink
-)
-
-type streamEvent struct {
-	time    float64
-	seq     int
-	kind    int
-	task    int
-	station int
-}
-
-type streamHeap []streamEvent
-
-func (h streamHeap) Len() int { return len(h) }
-func (h streamHeap) Less(i, j int) bool {
-	if h[i].time != h[j].time {
-		return h[i].time < h[j].time
-	}
-	return h[i].seq < h[j].seq
-}
-func (h streamHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *streamHeap) Push(x interface{}) { *h = append(*h, x.(streamEvent)) }
-func (h *streamHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	e := old[n-1]
-	*h = old[:n-1]
-	return e
-}
-
-func (cfg *StreamConfig) validate() error {
-	if cfg.Net == nil {
-		return check.Invalid("sim: stream: nil network")
-	}
-	if err := cfg.Net.Validate(); err != nil {
-		return err
-	}
-	if cfg.K < 1 || cfg.JobTasks < 1 {
-		return check.Invalid("sim: stream: K=%d JobTasks=%d, want both >= 1", cfg.K, cfg.JobTasks)
-	}
-	open := cfg.Jobs > 0 || cfg.Arrival != nil
-	closed := cfg.Customers > 0 || cfg.Think != nil
-	if open == closed {
-		return check.Invalid("sim: stream: configure exactly one of open (Jobs + Arrival) and closed (Customers + Think) mode")
-	}
-	if open {
-		if cfg.Jobs < 1 || cfg.Arrival == nil {
-			return check.Invalid("sim: stream: open mode needs Jobs >= 1 and an Arrival law")
-		}
-		return cfg.Arrival.Validate()
-	}
-	if cfg.Customers < 1 || cfg.Think == nil {
-		return check.Invalid("sim: stream: closed mode needs Customers >= 1 and a Think law")
-	}
-	return cfg.Think.Validate()
-}
-
 // RunStream simulates one replication.
 func RunStream(cfg StreamConfig) (*StreamResult, error) {
 	return RunStreamCtx(context.Background(), cfg)
@@ -118,187 +53,32 @@ func RunStream(cfg StreamConfig) (*StreamResult, error) {
 // RunStreamCtx is RunStream under a context, polled every
 // cancelCheckInterval events.
 func RunStreamCtx(ctx context.Context, cfg StreamConfig) (*StreamResult, error) {
-	if err := cfg.validate(); err != nil {
+	k, err := netKernel(cfg.Net, nil, cfg.K, cfg.JobTasks)
+	if err != nil {
 		return nil, err
 	}
-	open := cfg.Jobs > 0
-	net := cfg.Net
-	rng := rand.New(rand.NewSource(cfg.Seed))
-	m := len(net.Stations)
-
-	var (
-		events   streamHeap
-		seq      int
-		now      float64
-		queues   = make([][]int, m)
-		busy     = make([]int, m)
-		active   int // tasks inside the network
-		backlog  int // tasks arrived but not yet admitted
-		inSystem int
-		departed int
-		taskID   int
-		arrived  int   // open: jobs arrived so far
-		oldest   []int // closed: FIFO remaining-task counts per outstanding job
-	)
-	res := &StreamResult{TasksAt: make([]float64, len(cfg.Probes))}
-	probeIdx := 0
-
-	servers := func(st int) int {
-		if net.Stations[st].Kind == statespace.Multi {
-			return net.Stations[st].Servers
-		}
-		return 1
+	// Exactly one source: open (Jobs + Arrival) or closed (Customers +
+	// Think), each complete.
+	open := cfg.Jobs > 0 || cfg.Arrival != nil
+	if open == (cfg.Customers > 0 || cfg.Think != nil) {
+		return nil, check.Invalid("sim: stream: configure exactly one of open (Jobs + Arrival) and closed (Customers + Think) mode")
 	}
-	schedule := func(task, st int) {
-		seq++
-		heap.Push(&events, streamEvent{
-			time: now + net.Stations[st].Service.Sample(rng),
-			seq:  seq, kind: evService, task: task, station: st,
-		})
-	}
-	arrive := func(task, st int) {
-		switch net.Stations[st].Kind {
-		case statespace.Delay:
-			schedule(task, st)
-		case statespace.Queue, statespace.Multi:
-			if busy[st] >= servers(st) {
-				queues[st] = append(queues[st], task)
-			} else {
-				busy[st]++
-				schedule(task, st)
-			}
-		}
-	}
-	admit := func() {
-		task := taskID
-		taskID++
-		active++
-		arrive(task, sampleIndex(rng, net.Entry))
-	}
-	submitJob := func() {
-		inSystem += cfg.JobTasks
-		backlog += cfg.JobTasks
-		for active < cfg.K && backlog > 0 {
-			backlog--
-			admit()
-		}
-		if !open {
-			oldest = append(oldest, cfg.JobTasks)
-		}
-	}
-	scheduleThink := func() {
-		seq++
-		heap.Push(&events, streamEvent{
-			time: now + cfg.Think.Sample(rng),
-			seq:  seq, kind: evThink,
-		})
-	}
-
+	n, law := cfg.Customers, cfg.Think
 	if open {
-		// Job 1 arrives at t = 0; later arrivals renew from each other.
-		arrived = 1
-		submitJob()
-		if arrived < cfg.Jobs {
-			seq++
-			heap.Push(&events, streamEvent{
-				time: cfg.Arrival.Sample(rng), seq: seq, kind: evArrival,
-			})
-		}
-	} else {
-		for c := 0; c < cfg.Customers; c++ {
-			scheduleThink()
-		}
+		n, law = cfg.Jobs, cfg.Arrival
 	}
-
-	total := cfg.Jobs * cfg.JobTasks
-	done := func() bool {
-		if open {
-			return departed == total && probeIdx == len(cfg.Probes)
-		}
-		return probeIdx == len(cfg.Probes)
+	if n < 1 || law == nil {
+		return nil, check.Invalid("sim: stream: open mode needs Jobs >= 1 and an Arrival law, closed mode Customers >= 1 and a Think law")
 	}
-	processed := 0
-	for !done() {
-		if processed%cancelCheckInterval == 0 {
-			if err := check.Canceled(ctx); err != nil {
-				return nil, err
-			}
-		}
-		if cfg.MaxEvents > 0 && processed >= cfg.MaxEvents {
-			return nil, fmt.Errorf("sim: stream: %d events processed without finishing (tasks may never exit): %w",
-				processed, check.ErrNotConverged)
-		}
-		processed++
-		if events.Len() == 0 {
-			if open && departed == total {
-				// Drained: the remaining probes see an empty system.
-				for ; probeIdx < len(cfg.Probes); probeIdx++ {
-					res.TasksAt[probeIdx] = 0
-				}
-				break
-			}
-			return nil, check.Invalid("sim: stream: event list empty before the run finished (deadlocked network?)")
-		}
-		ev := heap.Pop(&events).(streamEvent)
-		// The system is piecewise constant: record every probe that
-		// falls strictly before the next event.
-		for probeIdx < len(cfg.Probes) && cfg.Probes[probeIdx] < ev.time {
-			res.TasksAt[probeIdx] = float64(inSystem)
-			probeIdx++
-		}
-		now = ev.time
-
-		switch ev.kind {
-		case evArrival:
-			arrived++
-			submitJob()
-			if arrived < cfg.Jobs {
-				seq++
-				heap.Push(&events, streamEvent{
-					time: now + cfg.Arrival.Sample(rng), seq: seq, kind: evArrival,
-				})
-			}
-		case evThink:
-			submitJob()
-		case evService:
-			st := ev.station
-			if k := net.Stations[st].Kind; k == statespace.Queue || k == statespace.Multi {
-				if len(queues[st]) > 0 {
-					next := queues[st][0]
-					queues[st] = queues[st][1:]
-					schedule(next, st)
-				} else {
-					busy[st]--
-				}
-			}
-			dst, exits := sampleRoute(rng, net, st)
-			if !exits {
-				arrive(ev.task, dst)
-				continue
-			}
-			active--
-			inSystem--
-			departed++
-			if backlog > 0 {
-				backlog--
-				admit()
-			}
-			if open {
-				if departed == total {
-					res.Drain = now
-				}
-			} else {
-				// FIFO attribution: the departure is charged to the
-				// oldest outstanding job; its customer rejoins thinking.
-				oldest[0]--
-				if oldest[0] == 0 {
-					oldest = oldest[1:]
-					scheduleThink()
-				}
-			}
-		}
+	if err := law.Validate(); err != nil {
+		return nil, err
 	}
-	return res, nil
+	k.jobs, k.arrival, k.customers, k.think = cfg.Jobs, cfg.Arrival, cfg.Customers, cfg.Think
+	k.probes, k.maxEvents = cfg.Probes, cfg.MaxEvents
+	if err := k.run(ctx, cfg.Seed); err != nil {
+		return nil, err
+	}
+	return &StreamResult{TasksAt: k.tasksAt, Drain: k.drain}, nil
 }
 
 // StreamReplicated aggregates independent stream replications with
@@ -320,55 +100,26 @@ func ReplicateStream(cfg StreamConfig, reps int) (*StreamReplicated, error) {
 
 // ReplicateStreamCtx is ReplicateStream under a context.
 func ReplicateStreamCtx(ctx context.Context, cfg StreamConfig, reps int) (*StreamReplicated, error) {
-	if reps < 2 {
-		return nil, check.Invalid("sim: stream: need at least 2 replications, got %d", reps)
-	}
-	np := len(cfg.Probes)
-	tasks := make([][]float64, reps)
-	drains := make([]float64, reps)
-	err := par.ForErr(ctx, reps, func(r int) error {
+	runs, err := replicate(ctx, cfg.Seed, reps, func(seed int64) (*StreamResult, error) {
 		c := cfg
-		c.Seed = cfg.Seed + int64(r)
-		res, err := RunStreamCtx(ctx, c)
-		if err != nil {
-			return err
-		}
-		tasks[r] = res.TasksAt
-		drains[r] = res.Drain
-		return nil
+		c.Seed = seed
+		return RunStreamCtx(ctx, c)
 	})
 	if err != nil {
 		return nil, err
 	}
-	out := &StreamReplicated{
-		Reps:      reps,
-		MeanTasks: make([]float64, np),
-		TasksSE:   make([]float64, np),
-	}
-	for p := 0; p < np; p++ {
-		col := make([]float64, reps)
-		for r := 0; r < reps; r++ {
-			col[r] = tasks[r][p]
-		}
-		out.MeanTasks[p], out.TasksSE[p] = meanSE(col)
+	out := &StreamReplicated{Reps: reps}
+	out.MeanTasks, out.TasksSE = columns(runs, len(cfg.Probes), func(res *StreamResult, i int) float64 { return res.TasksAt[i] })
+	for i := range out.TasksSE {
+		out.TasksSE[i] /= math.Sqrt(float64(reps))
 	}
 	if cfg.Jobs > 0 {
-		out.MeanDrain, out.DrainSE = meanSE(drains)
-		out.Drains = drains
+		out.Drains = make([]float64, reps)
+		for r, res := range runs {
+			out.Drains[r] = res.Drain
+		}
+		out.MeanDrain, out.DrainSE = meanSD(out.Drains)
+		out.DrainSE /= math.Sqrt(float64(reps))
 	}
 	return out, nil
-}
-
-// meanSE returns the sample mean and its standard error.
-func meanSE(xs []float64) (mean, se float64) {
-	n := float64(len(xs))
-	for _, v := range xs {
-		mean += v
-	}
-	mean /= n
-	var ss float64
-	for _, v := range xs {
-		ss += (v - mean) * (v - mean)
-	}
-	return mean, math.Sqrt(ss/(n-1)) / math.Sqrt(n)
 }

@@ -83,8 +83,11 @@ GOMAXPROCS=4 go test -p 1 -count=1 ./...
 echo "== determinism at GOMAXPROCS=1 =="
 # One processor takes par's serial path: the split E(T)'s forward and
 # backward halves run one after the other on the calling goroutine,
-# and the solver and serving suites must pass on that path too.
-GOMAXPROCS=1 go test -count=1 ./internal/core ./internal/serve
+# and the solver and serving suites must pass on that path too. The
+# simulators' replications fan out through the same pool, so their
+# golden bit pins run here serially and at 4 processors above.
+GOMAXPROCS=1 go test -count=1 ./internal/core ./internal/serve \
+    ./internal/sim ./internal/multiclass ./internal/stream
 
 echo "== perfbench module =="
 # perfbench is a separate module that compiles against the solver's
