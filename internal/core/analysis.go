@@ -77,7 +77,9 @@ func (r *Result) Regions(tol float64) Regions {
 // recovers k — a conservation check the tests rely on. Evaluated at
 // TimeStationary it gives the mean queue lengths (matching MVA for
 // exponential networks); evaluated at SteadyState's fixed point it
-// gives the departure-embedded view instead.
+// gives the departure-embedded view instead. On a chain lumped over
+// exchangeable stations each class's members get their common value,
+// the class average.
 func (s *Solver) Occupancy(k int, pi []float64) []float64 {
 	s.checkLevel(k)
 	lvl := s.Chain.Levels[k]
@@ -95,6 +97,7 @@ func (s *Solver) Occupancy(k int, pi []float64) []float64 {
 			out[st] += p * float64(space.CustomersAt(state, st))
 		}
 	}
+	space.AverageClasses(out)
 	return out
 }
 
@@ -102,7 +105,8 @@ func (s *Solver) Occupancy(k int, pi []float64) []float64 {
 // under the level-k distribution pi: all customers at a delay
 // station, min(1, n) at a queue, min(c, n) at a multi-server station.
 // Dividing a queue station's value by 1 (or a multi station's by c)
-// gives its utilization.
+// gives its utilization. Exchangeable stations get their class
+// average, as in Occupancy.
 func (s *Solver) BusyServers(k int, pi []float64) []float64 {
 	s.checkLevel(k)
 	lvl := s.Chain.Levels[k]
@@ -129,5 +133,6 @@ func (s *Solver) BusyServers(k int, pi []float64) []float64 {
 			out[st] += p * float64(busy)
 		}
 	}
+	space.AverageClasses(out)
 	return out
 }

@@ -187,7 +187,8 @@ func (c *Chain) Quantile(p float64) (float64, error) {
 // station at time t, including tasks still queued for admission —
 // the time-domain view of the transient the paper's epoch series
 // shows in departure order. Entries decay to zero as the workload
-// drains.
+// drains. Exchangeable stations, which the chain lumps, get their
+// class average.
 func (c *Chain) OccupancyAt(t float64) ([]float64, error) {
 	space := c.chain.Space
 	occ := make([]float64, space.Stations())
@@ -223,6 +224,7 @@ func (c *Chain) OccupancyAt(t float64) ([]float64, error) {
 			}
 		}
 	}
+	space.AverageClasses(occ)
 	return occ, nil
 }
 

@@ -1,6 +1,7 @@
 package network_test
 
 import (
+	"fmt"
 	"testing"
 
 	"finwl/internal/cluster"
@@ -27,5 +28,28 @@ func BenchmarkPerfNewSolverK8H2ShapeCold(b *testing.B) {
 		if _, err := core.NewSolver(net, 8); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkPerfNewSolverDistributedShapeCold builds and factors the
+// paper's distributed cluster (CV² 10 disks) with the shape memo
+// emptied first, at K=4 (the largest distributed class of perfbench's
+// cold-distinct mix: 68 lumped states at level 4, 501 unlumped) and at
+// K=6 (281 lumped, 14,407 unlumped).
+func BenchmarkPerfNewSolverDistributedShapeCold(b *testing.B) {
+	for _, k := range []int{4, 6} {
+		net, err := cluster.Distributed(k, workload.Default(30), cluster.Dists{Remote: cluster.WithCV2(10)})
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(fmt.Sprintf("K=%d", k), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				network.ResetShapeMemo()
+				if _, err := core.NewSolver(net, k); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

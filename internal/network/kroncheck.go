@@ -1,6 +1,7 @@
 package network
 
 import (
+	"context"
 	"fmt"
 	"math"
 
@@ -18,14 +19,16 @@ import (
 //
 // Queue stations use the processor-sharing rate split µ/n per task,
 // which has the same lumped count process as FCFS for exponential
-// service. It returns an error describing the first mismatch, or nil.
+// service. It checks the chain built without lumping exchangeable
+// stations, whose states are the reduced space's own. It returns an
+// error describing the first mismatch, or nil.
 func LumpCheck(net *Network, k int, tol float64) error {
 	for _, st := range net.Stations {
 		if st.Service.Dim() != 1 {
 			return fmt.Errorf("network: LumpCheck requires exponential stations, %q has %d phases", st.Name, st.Service.Dim())
 		}
 	}
-	chain, err := NewChain(net, k)
+	chain, err := newChain(context.Background(), net, k, false)
 	if err != nil {
 		return err
 	}

@@ -132,15 +132,34 @@ func NewChain(net *Network, maxK int) (*Chain, error) {
 // levels are embarrassingly parallel. par.ForCost drives the
 // serial/parallel cutover from per-level cost models and schedules the
 // largest levels first; small chains never pay the pool overhead.
+//
+// Exchangeable stations (see exchangeClasses) are lumped: the chain is
+// built over the canonical states of Network.Space, and every
+// transition target is canonicalized before its weight is merged into
+// the row, so each level holds the exact orbit-lumped P_k, Q_k and
+// R_k. E(T), the epoch series and the drain times are those of the
+// full chain; per-station readings must average over each class
+// (statespace.Space.AverageClasses). A network without exchangeable
+// stations builds exactly the chain it always did.
 func NewChainCtx(ctx context.Context, net *Network, maxK int) (*Chain, error) {
+	return newChain(ctx, net, maxK, true)
+}
+
+// newChain builds the chain, lumped over the network's exchangeable
+// stations when lump is set and over none otherwise.
+func newChain(ctx context.Context, net *Network, maxK int, lump bool) (*Chain, error) {
 	defer mChainBuild.Start().End()
 	if err := net.Validate(); err != nil {
 		return nil, err
 	}
 	th := newParams(net)
+	var classes [][]int
+	if lump {
+		classes = net.exchangeClasses()
+	}
 	var keyBuf [128]byte
-	sh, err := shapes.get(ctx, th.appendKey(keyBuf[:0], net, maxK), func() (*chainShape, error) {
-		return recordChain(ctx, net, th, maxK)
+	sh, err := shapes.get(ctx, th.appendKey(keyBuf[:0], net, maxK, classes), func() (*chainShape, error) {
+		return recordChain(ctx, net, th, maxK, classes)
 	})
 	if err != nil {
 		return nil, err
@@ -245,6 +264,16 @@ type levelVisitor interface {
 func walkLevel(net *Network, space *statespace.Space, th *params, prev, cur *statespace.Level, v levelVisitor, scratch, depart []int) {
 	d := cur.Count()
 	dPrev := prev.Count()
+	// index locates a target in its level. On a lumped space it first
+	// canonicalizes the target in place, so every arrangement of one
+	// orbit lands in the same column and the row builder sums them.
+	lumped := space.Lumped()
+	index := func(l *statespace.Level, target []int) int {
+		if lumped {
+			space.Canonicalize(target)
+		}
+		return l.MustIndex(target)
+	}
 
 	// arrive lists the states reached when a task arrives at station
 	// dst with the system in state, completing f (n factors used) with
@@ -296,7 +325,7 @@ func walkLevel(net *Network, space *statespace.Space, th *params, prev, cur *sta
 				continue
 			}
 			arrive(state, e, factors{pe}, 1, func(target []int, f factors) {
-				v.arrival(i, cur.MustIndex(target), f)
+				v.arrival(i, index(cur, target), f)
 			})
 		}
 	}
@@ -320,7 +349,7 @@ func walkLevel(net *Network, space *statespace.Space, th *params, prev, cur *sta
 					continue
 				}
 				moved := moveWithinStation(net, space, state, st, ph, ph2, depart)
-				v.event(false, si, cur.MustIndex(moved), u, factors{tp})
+				v.event(false, si, index(cur, moved), u, factors{tp})
 			}
 
 			done := sp.exit + int32(ph)
@@ -330,7 +359,8 @@ func walkLevel(net *Network, space *statespace.Space, th *params, prev, cur *sta
 			// Remove the completing customer from the station; for a
 			// queue with waiting customers the successor's starting
 			// phase fans out over the entry vector. base is the depart
-			// buffer, which arrive leaves untouched.
+			// buffer, which arrive leaves untouched; the departure is its
+			// last use, so index may canonicalize it in place.
 			forEachPostCompletion(net, space, th, state, st, ph, depart, func(base []int, bw int32) {
 				// Route to the next station …
 				for dst := 0; dst < m; dst++ {
@@ -339,12 +369,12 @@ func walkLevel(net *Network, space *statespace.Space, th *params, prev, cur *sta
 						continue
 					}
 					arrive(base, dst, factors{done, bw, r}, 3, func(target []int, f factors) {
-						v.event(false, si, cur.MustIndex(target), u, f)
+						v.event(false, si, index(cur, target), u, f)
 					})
 				}
 				// … or leave the system.
 				if e := th.exit + int32(st); th.live(e) {
-					v.event(true, si, prev.MustIndex(base), u, factors{done, bw, e})
+					v.event(true, si, index(prev, base), u, factors{done, bw, e})
 				}
 			})
 		}

@@ -100,13 +100,20 @@ func (n *Network) Validate() error {
 }
 
 // Space returns the reduced-product state space layout for the
-// network's stations.
+// network's stations, lumped over every class of exchangeable stations
+// (exchangeClasses). It is the space NewChain builds over, so its
+// LevelSize and ChainPrice price that chain exactly.
 func (n *Network) Space() *statespace.Space {
+	return statespace.NewLumpedSpace(n.shapes(), n.exchangeClasses())
+}
+
+// shapes lists the stations' state layouts.
+func (n *Network) shapes() []statespace.StationShape {
 	shapes := make([]statespace.StationShape, len(n.Stations))
 	for i, st := range n.Stations {
 		shapes[i] = statespace.StationShape{Kind: st.Kind, Phases: st.Service.Dim(), Servers: st.Servers}
 	}
-	return statespace.NewSpace(shapes)
+	return shapes
 }
 
 // position indexes the single-customer chain: (station, phase) pairs

@@ -109,11 +109,13 @@ func newParams(net *Network) *params {
 func (th *params) live(i int32) bool { return th.theta[i] > 0 }
 
 // appendKey appends the memo key of the chain the network builds at
-// maxK: maxK, each station's kind, phase count and (multi-server only)
-// server count, and the live bit of every parameter. Networks with one
-// key walk identical structure, because the walker's every branch is
-// decided by these alone.
-func (th *params) appendKey(b []byte, net *Network, maxK int) []byte {
+// maxK over the lumped station classes: maxK, each station's kind,
+// phase count and (multi-server only) server count, the live bit of
+// every parameter, and the class partition. Networks with one key walk
+// identical structure, because the walker's every branch is decided by
+// these alone; the partition keeps a network whose stations are not
+// exchangeable from replaying a lumped tape, and the reverse.
+func (th *params) appendKey(b []byte, net *Network, maxK int, classes [][]int) []byte {
 	b = binary.AppendVarint(b, int64(maxK))
 	b = binary.AppendUvarint(b, uint64(len(net.Stations)))
 	for _, st := range net.Stations {
@@ -133,6 +135,13 @@ func (th *params) appendKey(b []byte, net *Network, maxK int) []byte {
 		if i%8 == 7 || i == len(th.theta)-1 {
 			b = append(b, bits)
 			bits = 0
+		}
+	}
+	b = binary.AppendUvarint(b, uint64(len(classes)))
+	for _, cl := range classes {
+		b = binary.AppendUvarint(b, uint64(len(cl)))
+		for _, st := range cl {
+			b = binary.AppendUvarint(b, uint64(st))
 		}
 	}
 	return b
@@ -291,12 +300,12 @@ func (ls *levelShape) fill(k int, th []float64) (*Level, error) {
 	}, nil
 }
 
-// recordChain is the symbolic phase for the network's shape at maxK:
-// it prices the chain, enumerates every level's states, records every
-// level's patterns and tape, and analyzes every level's I − P for the
-// sparse LU.
-func recordChain(ctx context.Context, net *Network, th *params, maxK int) (*chainShape, error) {
-	space := net.Space()
+// recordChain is the symbolic phase for the network's shape at maxK,
+// lumped over classes: it prices the chain, enumerates every level's
+// states, records every level's patterns and tape, and analyzes every
+// level's I − P for the sparse LU.
+func recordChain(ctx context.Context, net *Network, th *params, maxK int, classes [][]int) (*chainShape, error) {
+	space := statespace.NewLumpedSpace(net.shapes(), classes)
 	sizes, err := planChain(space, maxK)
 	if err != nil {
 		return nil, err

@@ -23,7 +23,7 @@ func seededNet(seed int64) *Network {
 }
 
 func chainKey(n *Network, k int) string {
-	return string(newParams(n).appendKey(nil, n, k))
+	return string(newParams(n).appendKey(nil, n, k, n.exchangeClasses()))
 }
 
 // The memo key is the population, the station shapes and the zero
@@ -116,7 +116,7 @@ func TestShapeMemoBudget(t *testing.T) {
 func TestReplayRefusesCorruptTape(t *testing.T) {
 	net := seededNet(3)
 	th := newParams(net)
-	sh, err := recordChain(context.Background(), net, th, 3)
+	sh, err := recordChain(context.Background(), net, th, 3, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
@@ -15,6 +16,7 @@ import (
 	"time"
 
 	"finwl/internal/check"
+	"finwl/internal/core"
 	"finwl/internal/matrix"
 	"finwl/internal/network"
 	"finwl/internal/phase"
@@ -454,5 +456,40 @@ func TestRequestIdentityFastPath(t *testing.T) {
 	}
 	if got := s.Snapshot().CacheHits; got != 1 {
 		t.Fatalf("cache hits = %d, want 1", got)
+	}
+}
+
+// The paper's distributed cluster at K=6 with CV² 10 disks (full
+// reduced space: 14,407 states at level 6, over the chain budget) is
+// served exactly under the default configuration: its six disks are
+// exchangeable, so the chain is lumped to 281 states at level 6. The
+// answer is the solver's own.
+func TestDistributedK6ServedExact(t *testing.T) {
+	s := New(Config{Seed: 1})
+	req := &Request{Arch: "distributed", K: 6, N: 30, CV2: &CV2Spec{Remote: 10}}
+	resp, err := s.Solve(context.Background(), req)
+	if err != nil {
+		t.Fatalf("Solve: %v", err)
+	}
+	if resp.Fidelity != FidelityExact {
+		t.Fatalf("fidelity %q, want exact", resp.Fidelity)
+	}
+	net, err := req.BuildNetwork()
+	if err != nil {
+		t.Fatal(err)
+	}
+	solver, err := core.NewSolver(net, 6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d := solver.Chain.D(6); d != 281 {
+		t.Fatalf("level 6 has %d states, want 281", d)
+	}
+	want, err := solver.TotalTime(30)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if math.Abs(resp.TotalTime-want) > 1e-12*want {
+		t.Fatalf("served E(T) %v, solver %v", resp.TotalTime, want)
 	}
 }

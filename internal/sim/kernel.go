@@ -309,7 +309,10 @@ func meanSD(xs []float64) (mean, sd float64) {
 	mean /= n
 	var ss float64
 	for _, v := range xs {
-		ss += (v - mean) * (v - mean)
+		// The conversion rounds the square before the sum, so no
+		// platform fuses the two into one multiply-add and the pinned
+		// bits hold on every GOARCH.
+		ss += float64((v - mean) * (v - mean))
 	}
 	return mean, math.Sqrt(ss / (n - 1))
 }

@@ -146,13 +146,15 @@ func (r *Replicated) TotalQuantile(p float64) float64 {
 	}
 	sorted := append([]float64(nil), r.Totals...)
 	sort.Float64s(sorted)
-	pos := p * float64(len(sorted)-1)
+	// Every product is rounded on its own (float64 conversions), so no
+	// platform fuses it into the following add or subtract.
+	pos := float64(p * float64(len(sorted)-1))
 	lo := int(pos)
 	frac := pos - float64(lo)
 	if lo+1 >= len(sorted) {
 		return sorted[len(sorted)-1]
 	}
-	return sorted[lo]*(1-frac) + sorted[lo+1]*frac
+	return float64(sorted[lo]*(1-frac)) + float64(sorted[lo+1]*frac)
 }
 
 // Replicate runs reps independent replications (seeds Seed, Seed+1, …)

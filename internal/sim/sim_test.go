@@ -1,10 +1,13 @@
 package sim
 
 import (
+	"context"
+	"errors"
 	"math"
 	"math/rand"
 	"testing"
 
+	"finwl/internal/check"
 	"finwl/internal/cluster"
 	"finwl/internal/core"
 	"finwl/internal/matrix"
@@ -115,6 +118,27 @@ func TestStreamDrainedProbes(t *testing.T) {
 	}
 	if !(res.Drain > 0 && res.Drain < 1e9) {
 		t.Fatalf("drain %v, want a finite time before the late probes", res.Drain)
+	}
+}
+
+// A probe that no event can ever pass (NaN, +Inf) or a negative one is
+// refused with a typed invalid-model error before the run starts, in
+// both modes; with MaxEvents 0 a closed run would otherwise never end.
+func TestStreamRefusesBadProbes(t *testing.T) {
+	n := singleStation(statespace.Queue, phase.MustExpo(1))
+	for _, p := range []float64{math.Inf(1), math.NaN(), math.Inf(-1), -1} {
+		for _, cfg := range []StreamConfig{
+			{Net: n, K: 2, JobTasks: 3, Customers: 2, Think: phase.MustExpo(1)},
+			{Net: n, K: 2, JobTasks: 3, Jobs: 2, Arrival: phase.MustExpo(1)},
+		} {
+			cfg.Probes, cfg.Seed = []float64{1, p}, 3
+			if _, err := RunStreamCtx(context.Background(), cfg); !errors.Is(err, check.ErrInvalidModel) {
+				t.Fatalf("probe %v (closed %v): err %v, want ErrInvalidModel", p, cfg.Customers > 0, err)
+			}
+			if _, err := ReplicateStream(cfg, 2); !errors.Is(err, check.ErrInvalidModel) {
+				t.Fatalf("probe %v (closed %v): replicate err %v, want ErrInvalidModel", p, cfg.Customers > 0, err)
+			}
+		}
 	}
 }
 

@@ -34,7 +34,7 @@ type StreamConfig struct {
 	Customers int
 	Think     *phase.PH
 
-	Probes    []float64 // times at which tasks-in-system is recorded
+	Probes    []float64 // times at which tasks-in-system is recorded; finite, >= 0
 	Seed      int64
 	MaxEvents int // 0 = unlimited
 }
@@ -72,6 +72,16 @@ func RunStreamCtx(ctx context.Context, cfg StreamConfig) (*StreamResult, error) 
 	}
 	if err := law.Validate(); err != nil {
 		return nil, err
+	}
+	// A probe that is never strictly before an event (NaN, +Inf) would
+	// keep a closed run waiting for it until MaxEvents, forever at 0.
+	for i, t := range cfg.Probes {
+		if err := check.Finite("sim: stream: probe time", t); err != nil {
+			return nil, err
+		}
+		if t < 0 {
+			return nil, check.Invalid("sim: stream: probe %d time %v, want >= 0", i, t)
+		}
 	}
 	k.jobs, k.arrival, k.customers, k.think = cfg.Jobs, cfg.Arrival, cfg.Customers, cfg.Think
 	k.probes, k.maxEvents = cfg.Probes, cfg.MaxEvents

@@ -22,6 +22,12 @@
 // pair. Level holds every state with exactly k customers, with a
 // deterministic order and an index map, which is what the level
 // matrices M_k, P_k, Q_k, R_k are built over.
+//
+// A lumped space (NewLumpedSpace) goes one step further, lumping over
+// station identities the way §5.4 lumps over task identities: within
+// each class of exchangeable stations only the multiset of their
+// station-states matters. It keeps one canonical state per orbit, the
+// one whose class members' station-states ascend in station order.
 package statespace
 
 import (
@@ -84,14 +90,50 @@ type Space struct {
 	shapes  []StationShape
 	offsets []int // start of each station's segment in a state vector
 	width   int   // total state vector length
+	// classes lists the lumped classes of exchangeable stations, each
+	// of two or more members in ascending station order; prev maps a
+	// station to the member before it in its class, or −1.
+	classes [][]int
+	prev    []int
 }
 
 // NewSpace builds a Space from station shapes.
 func NewSpace(shapes []StationShape) *Space {
+	return NewLumpedSpace(shapes, nil)
+}
+
+// NewLumpedSpace builds a Space whose states are lumped over each
+// class of exchangeable stations: members of a class must share one
+// shape, and the caller vouches that permuting them maps the network
+// onto itself. Classes of one station are ignored.
+func NewLumpedSpace(shapes []StationShape, classes [][]int) *Space {
 	if len(shapes) == 0 {
 		panic("statespace: no stations")
 	}
 	s := &Space{shapes: append([]StationShape(nil), shapes...)}
+	s.prev = make([]int, len(shapes))
+	for i := range s.prev {
+		s.prev[i] = -1
+	}
+	seen := make([]bool, len(shapes))
+	for _, cl := range classes {
+		if len(cl) < 2 {
+			continue
+		}
+		for i, st := range cl {
+			if st < 0 || st >= len(shapes) || seen[st] || (i > 0 && st <= cl[i-1]) {
+				panic(fmt.Sprintf("statespace: bad station class %v", cl))
+			}
+			if shapes[st] != shapes[cl[0]] {
+				panic(fmt.Sprintf("statespace: class %v mixes station shapes", cl))
+			}
+			seen[st] = true
+			if i > 0 {
+				s.prev[st] = cl[i-1]
+			}
+		}
+		s.classes = append(s.classes, append([]int(nil), cl...))
+	}
 	s.offsets = make([]int, len(shapes))
 	for i, sh := range shapes {
 		if sh.Phases < 1 {
@@ -126,6 +168,64 @@ func (s *Space) Shape(st int) StationShape { return s.shapes[st] }
 
 // Width returns the state vector length.
 func (s *Space) Width() int { return s.width }
+
+// Lumped reports whether the space lumps any class of exchangeable
+// stations.
+func (s *Space) Lumped() bool { return len(s.classes) > 0 }
+
+// Classes returns the lumped station classes (shared; do not modify).
+func (s *Space) Classes() [][]int { return s.classes }
+
+// segment returns the slots of station st in state.
+func (s *Space) segment(state []int, st int) []int {
+	w := 1
+	switch s.shapes[st].Kind {
+	case Delay:
+		w = s.shapes[st].Phases
+	case Queue:
+		w = 2
+	}
+	off := s.offsets[st]
+	return state[off : off+w : off+w]
+}
+
+// Canonicalize rewrites state in place into its orbit's canonical
+// representative: within every class the members' station-states are
+// sorted ascending in station order. It allocates nothing and is a
+// no-op on a space without classes.
+func (s *Space) Canonicalize(state []int) {
+	for _, cl := range s.classes {
+		for i := 1; i < len(cl); i++ {
+			for j := i; j > 0; j-- {
+				a, b := s.segment(state, cl[j-1]), s.segment(state, cl[j])
+				if compareStates(a, b) <= 0 {
+					break
+				}
+				for x := range a {
+					a[x], b[x] = b[x], a[x]
+				}
+			}
+		}
+	}
+}
+
+// AverageClasses replaces every lumped class's entries of the
+// per-station vector v by their mean. On a lumped chain a per-station
+// expectation read off canonical states is only meaningful orbit by
+// orbit; the full chain puts equal mass on every arrangement of an
+// orbit, so each member's exact value is the class average.
+func (s *Space) AverageClasses(v []float64) {
+	for _, cl := range s.classes {
+		var sum float64
+		for _, st := range cl {
+			sum += v[st]
+		}
+		mean := sum / float64(len(cl))
+		for _, st := range cl {
+			v[st] = mean
+		}
+	}
+}
 
 // CustomersAt returns the number of customers at station st in state.
 func (s *Space) CustomersAt(state []int, st int) int {
@@ -253,7 +353,8 @@ func packState(state []int) uint64 {
 }
 
 // Enumerate lists every state with exactly k customers, in
-// lexicographically ascending order.
+// lexicographically ascending order; on a lumped space, every
+// canonical state.
 func (s *Space) Enumerate(k int) *Level {
 	if k < 0 {
 		panic("statespace: negative population")
@@ -306,6 +407,14 @@ func compareStates(a, b []int) int {
 
 func (l *Level) enumerate(state []int, st, remaining int) {
 	s := l.Space
+	// Station st−1 is complete: in a lumped class its station-state
+	// may not sort below the previous member's, so only canonical
+	// states are ever generated.
+	if st > 0 {
+		if p := s.prev[st-1]; p >= 0 && compareStates(s.segment(state, st-1), s.segment(state, p)) < 0 {
+			return
+		}
+	}
 	if st == len(s.shapes) {
 		if remaining == 0 {
 			l.slab = append(l.slab, state...)
@@ -376,9 +485,10 @@ func (l *Level) State(i int) []int {
 func (l *Level) Bytes() int64 { return 8 * int64(len(l.slab)+len(l.keys)) }
 
 // Index returns the position of a state, or −1 if it is not a state
-// of this level. It is an allocation-free binary search over the
-// lexicographically sorted state slab — the hot lookup of level-matrix
-// construction, called once per generated transition.
+// of this level (on a lumped space, a state that is not canonical is
+// not found: Canonicalize it first). It is an allocation-free binary
+// search over the lexicographically sorted state slab — the hot lookup
+// of level-matrix construction, called once per generated transition.
 func (l *Level) Index(state []int) int {
 	if l.keys != nil {
 		// Packed fast path: one word comparison per probe instead of a
@@ -537,8 +647,10 @@ func (s *Space) stationWays(st, n int) int64 {
 // LevelSize returns D(k), the exact number of states at population k,
 // computed by a convolution over stations without enumerating anything
 // — the O(stations·k²) counting pass that lets callers reject a state
-// space that would exhaust memory before allocating any of it. Counts
-// beyond int64 range saturate at math.MaxInt64.
+// space that would exhaust memory before allocating any of it. A
+// lumped class enters the convolution as one factor that counts its
+// orbits (classWays). Counts beyond int64 range saturate at
+// math.MaxInt64.
 func (s *Space) LevelSize(k int) int64 {
 	if k < 0 {
 		return 0
@@ -547,10 +659,23 @@ func (s *Space) LevelSize(k int) int64 {
 	dp[0] = 1
 	next := make([]int64, k+1)
 	ways := make([]int64, k+1)
+	first := make([]int, len(s.shapes)) // class index + 1 of a class's first member
+	for i, cl := range s.classes {
+		first[cl[0]] = i + 1
+	}
 	for st := range s.shapes {
+		switch {
+		case s.prev[st] >= 0:
+			continue // counted with its class
+		case first[st] > 0:
+			s.classWays(s.classes[first[st]-1], ways)
+		default:
+			for n := range ways {
+				ways[n] = s.stationWays(st, n)
+			}
+		}
 		for n := range next {
 			next[n] = 0
-			ways[n] = s.stationWays(st, n)
 		}
 		for have := 0; have <= k; have++ {
 			if dp[have] == 0 {
@@ -565,4 +690,53 @@ func (s *Space) LevelSize(k int) int64 {
 		dp, next = next, dp
 	}
 	return dp[k]
+}
+
+// classWays fills ways[n] with the number of orbits of class cl
+// holding n customers: the multisets of len(cl) station-states with n
+// customers in all. It adds the station-state types one customer count
+// at a time: f types with c customers each contribute r members in
+// C(f+r−1, r) ways, for an O(len(cl)²·k²) pass.
+func (s *Space) classWays(cl []int, ways []int64) {
+	k, size := len(ways)-1, len(cl)
+	// m[j][n]: multisets of j station-states over the types added so
+	// far, holding n customers.
+	m := make([][]int64, size+1)
+	next := make([][]int64, size+1)
+	for j := range m {
+		m[j] = make([]int64, k+1)
+		next[j] = make([]int64, k+1)
+	}
+	m[0][0] = 1
+	for c := 0; c <= k; c++ {
+		f := s.stationWays(cl[0], c)
+		if f == 0 {
+			continue
+		}
+		for j := 0; j <= size; j++ {
+			for n := 0; n <= k; n++ {
+				var v int64
+				for r := 0; r <= j && r*c <= n; r++ {
+					if w := m[j-r][n-r*c]; w != 0 {
+						v = satAdd(v, satMul(w, multichoose(f, r)))
+					}
+				}
+				next[j][n] = v
+			}
+		}
+		m, next = next, m
+	}
+	copy(ways, m[size])
+}
+
+// multichoose returns C(f+r−1, r), the multisets of r items drawn from
+// f types, saturating at math.MaxInt64.
+func multichoose(f int64, r int) int64 {
+	if r == 0 {
+		return 1
+	}
+	if f > math.MaxInt64-int64(r) {
+		return math.MaxInt64
+	}
+	return binomial(int(f)+r-1, r)
 }

@@ -18,7 +18,10 @@ type block struct {
 	k      int // network level = min(j, K)
 	j      int // tasks in the system (admitted + queued)
 	g, d   int // open mode: jobs arrived, departures
-	m, r   int // closed mode: jobs in system, remaining tasks of the oldest
+	// arriving is set in open mode while jobs are still to arrive
+	// (g < Jobs): the renewal clock runs and adds its phase moves.
+	arriving bool
+	m, r     int // closed mode: jobs in system, remaining tasks of the oldest
 }
 
 // graph is the assembled augmented CTMC: a flat adjacency list over
@@ -186,7 +189,7 @@ func buildOpen(cfg *Config, chain *network.Chain) *graph {
 			bIdx[[2]int{g, d}] = len(blocks)
 			blocks = append(blocks, block{
 				n: phDim * chain.D(k), phDim: phDim, dk: chain.D(k),
-				k: k, j: j, g: g, d: d,
+				k: k, j: j, g: g, d: d, arriving: g < G,
 			})
 		}
 	}

@@ -7,11 +7,13 @@ import (
 	"testing"
 
 	"finwl/internal/check"
+	"finwl/internal/cluster"
 	"finwl/internal/ctmc"
 	"finwl/internal/matrix"
 	"finwl/internal/network"
 	"finwl/internal/phase"
 	"finwl/internal/statespace"
+	"finwl/internal/workload"
 )
 
 // testNet is a small two-station network: a single-server FCFS "cpu"
@@ -64,10 +66,18 @@ func TestConfigValidation(t *testing.T) {
 func TestPriceMatchesBuild(t *testing.T) {
 	// The planner's state count must equal what the builder
 	// enumerates — Solve cross-checks this invariant internally, so a
-	// successful solve in both modes is the assertion.
+	// successful solve in both modes is the assertion. The distributed
+	// cluster's exchangeable disks make its chain lumped, which the
+	// planner must price from the same orbit count.
+	dist, err := cluster.Distributed(3, workload.Default(30), cluster.Dists{Remote: cluster.WithCV2(4)})
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, cfg := range []Config{
 		{Net: testNet(), K: 3, JobTasks: 2, Jobs: 3, Arrival: phase.MustHyperExpFit(1, 4)},
 		{Net: testNet(), K: 3, JobTasks: 2, Customers: 3, Think: phase.MustErlangMean(3, 1)},
+		{Net: dist, K: 3, JobTasks: 4, Jobs: 3, Arrival: phase.MustExpoMean(20)},
+		{Net: dist, K: 3, JobTasks: 2, Customers: 2, Think: phase.MustErlangMean(2, 20)},
 	} {
 		states, price, err := Price(cfg)
 		if err != nil {

@@ -94,21 +94,36 @@ func (g *graph) transientAt(ctx context.Context, probes []float64) (tasks, surv 
 // (arrivals and departures only move forward), so the global system
 // is block-triangular: one dense solve per block, walked backwards,
 // exactly like ctmc.MeanAbsorptionTime but over the arrival-phase-
-// augmented lattice.
+// augmented lattice. A block's diagonal part holds only its level's
+// P_k moves, the total rates and, while arrivals are pending, the
+// arrival-phase moves, so it depends on (k, arriving) alone: each
+// distinct diagonal block is assembled and factored once, and every
+// block reuses those factors with its own right-hand side.
 func (g *graph) meanAbsorption(ctx context.Context) (float64, error) {
 	t := make([]float64, g.total)
+	type diagKey struct {
+		k        int
+		arriving bool
+	}
+	facts := map[diagKey]*matrix.LU{}
 	for bi := len(g.blocks) - 1; bi >= 0; bi-- {
 		if err := check.Canceled(ctx); err != nil {
 			return 0, err
 		}
 		blk := g.blocks[bi]
 		n := blk.n
-		a := matrix.New(n, n)
+		key := diagKey{blk.k, blk.arriving}
+		f := facts[key]
+		var a *matrix.Matrix
+		if f == nil {
+			a = matrix.New(n, n)
+		}
 		rhs := make([]float64, n)
 		for x := 0; x < n; x++ {
 			s := blk.offset + x
-			row := a.RawRow(x)
-			row[x] = g.exit[s]
+			if a != nil {
+				a.RawRow(x)[x] = g.exit[s]
+			}
 			rhs[x] = 1
 			for p := g.rowPtr[s]; p < g.rowPtr[s+1]; p++ {
 				tgt := g.to[p]
@@ -116,17 +131,22 @@ func (g *graph) meanAbsorption(ctx context.Context) (float64, error) {
 					continue // absorbing: contributes 0 to the rhs
 				}
 				if tgt >= blk.offset && tgt < blk.offset+n {
-					row[tgt-blk.offset] -= g.rate[p]
+					if a != nil {
+						a.RawRow(x)[tgt-blk.offset] -= g.rate[p]
+					}
 				} else {
 					rhs[x] += g.rate[p] * t[tgt]
 				}
 			}
 		}
-		sol, err := matrix.Solve(a, rhs)
-		if err != nil {
-			return 0, fmt.Errorf("stream: block (g=%d,d=%d) drain solve: %w", blk.g, blk.d, err)
+		if f == nil {
+			var err error
+			if f, err = matrix.Factor(a); err != nil {
+				return 0, fmt.Errorf("stream: block (g=%d,d=%d) drain solve: %w", blk.g, blk.d, err)
+			}
+			facts[key] = f
 		}
-		copy(t[blk.offset:blk.offset+n], sol)
+		f.SolveInto(t[blk.offset:blk.offset+n], rhs)
 	}
 	return matrix.Dot(g.init, t), nil
 }

@@ -135,3 +135,27 @@ func BenchmarkPerfSteadyStateK8(b *testing.B) {
 		}
 	}
 }
+
+// One /solve's worth of work on the paper's distributed cluster at
+// K=6 with CV² 10 disks, N=30: warm-shape chain build, level
+// factorization and the split E(T). The six exchangeable disks lump
+// the chain to 281 states at level 6 (14,407 unlumped, which the chain
+// budget refuses).
+func BenchmarkPerfSolveDistributedK6H2(b *testing.B) {
+	net, err := cluster.Distributed(6, workload.Default(30), cluster.Dists{Remote: cluster.WithCV2(10)})
+	if err != nil {
+		b.Fatal(err)
+	}
+	ctx := context.Background()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s, err := core.NewSolver(net, 6)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := s.SplitTotalTimeCtx(ctx, 30); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -19,6 +19,26 @@ go vet ./...
 echo "== go build =="
 go build ./...
 
+echo "== arm64 fused multiply-add guard =="
+# The simulators' golden hashes pin float64 bits recorded on amd64. On
+# arm64 the compiler may fuse x*y+z into one rounding, which would
+# change those bits; every product on internal/sim's paths is rounded
+# explicitly with a float64(...) conversion instead. Fail if the arm64
+# assembly of internal/sim holds any fused op. (The go command replays
+# a cached compile's -S output, so a warm cache still prints it.)
+asm=$(GOARCH=arm64 go build -gcflags=-S ./internal/sim 2>&1)
+if ! grep -q 'TEXT' <<< "$asm"; then
+    echo "arm64 guard: no assembly listing for internal/sim:" >&2
+    head -20 <<< "$asm" >&2
+    exit 1
+fi
+fused=$(grep -Ew 'FMADDD|FMSUBD|FNMADDD|FNMSUBD' <<< "$asm" || true)
+if [ -n "$fused" ]; then
+    echo "arm64 guard: fused multiply-adds in internal/sim:" >&2
+    echo "$fused" >&2
+    exit 1
+fi
+
 echo "== go test -race + coverage =="
 # One instrumented run feeds both gates: the race detector over the
 # full suite, and the coverage ratchet against scripts/coverage_floor.txt
@@ -326,6 +346,15 @@ badstream_status=$(curl -s -o "$scratch/badstream.json" -w '%{http_code}' \
     -X POST -d '{"k":2,"job_tasks":2}' "http://$addr/stream")
 if [ "$badstream_status" != 400 ] || ! grep -q '"code":"invalid_model"' "$scratch/badstream.json"; then
     echo "finwld smoke: modeless stream not refused typed: $badstream_status $(cat "$scratch/badstream.json")" >&2
+    exit 1
+fi
+# The paper's distributed cluster at K=6 with CV² 10 disks: its full
+# reduced space (14,407 states at level 6) is over the chain budget,
+# and its six exchangeable disks lump it to 281, which the default
+# admission serves exactly.
+dist6=$(curl -s -X POST -d '{"arch":"distributed","k":6,"n":30,"cv2":{"remote":10}}' "http://$addr/solve")
+if ! grep -q '"fidelity":"exact"' <<< "$dist6" || ! grep -q '"total_time":' <<< "$dist6"; then
+    echo "finwld smoke: distributed K=6 CV² 10 not answered exact: $dist6" >&2
     exit 1
 fi
 # A 1ms deadline either degrades (deadline below the exact-tier
