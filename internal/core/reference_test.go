@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"sync"
 	"testing"
@@ -252,38 +253,121 @@ func TestSparseMatchesDenseProperty(t *testing.T) {
 	}
 }
 
+// breakDiskSymmetry moves the service rate of disk i (stations 2…k of
+// a distributed cluster of k workstations) i−1 ulps up, so no two
+// disks are exchangeable and the network's chain is the full reduced
+// space, while every answer moves only by rounding.
+func breakDiskSymmetry(net *network.Network, k int) error {
+	for disk := 2; disk <= k; disk++ {
+		svc := *net.Stations[disk].Service
+		svc.Rates = append([]float64(nil), svc.Rates...)
+		for range disk - 1 {
+			svc.Rates[0] = math.Nextafter(svc.Rates[0], math.Inf(1))
+		}
+		net.Stations[disk].Service = &svc
+	}
+	if c := net.Space().Classes(); c != nil {
+		return fmt.Errorf("perturbed cluster lumped: classes %v", c)
+	}
+	return nil
+}
+
+// The drain vectors of the lumped distributed cluster equal the full
+// chain's orbit by orbit: D_k at every full state, read off the
+// cluster with its disks a few ulps apart (breakDiskSymmetry), equals
+// D_k at the state's canonical representative within 1e-12, for
+// K ≤ 5 at remote CV² 1, 4 and 10.
+func TestLumpedDrainVectorsMatchFullChain(t *testing.T) {
+	app := workload.Default(30)
+	for _, cv2 := range []float64{1, 4, 10} {
+		d := cluster.Dists{Remote: cluster.WithCV2(cv2)}
+		for k := 1; k <= 5; k++ {
+			t.Run(fmt.Sprintf("cv%g/K=%d", cv2, k), func(t *testing.T) {
+				net, err := cluster.Distributed(k, app, d)
+				if err != nil {
+					t.Fatal(err)
+				}
+				fullNet, err := cluster.Distributed(k, app, d)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := breakDiskSymmetry(fullNet, k); err != nil {
+					t.Fatal(err)
+				}
+				lumped, full := mustSolver(t, net, k), mustSolver(t, fullNet, k)
+				if k > 1 && !lumped.Chain.Space.Lumped() {
+					t.Fatal("distributed cluster not lumped")
+				}
+				for j := 1; j <= k; j++ {
+					states := full.Chain.Levels[j].States
+					buf := make([]int, lumped.Chain.Space.Width())
+					for i, v := range full.levels[j].drain {
+						copy(buf, states.State(i))
+						lumped.Chain.Space.Canonicalize(buf)
+						w := lumped.levels[j].drain[lumped.Chain.Levels[j].States.MustIndex(buf)]
+						if !closeRel(v, w, 1e-12) {
+							t.Fatalf("D_%d[%d] = %v, lumped %v", j, i, v, w)
+						}
+					}
+				}
+			})
+		}
+	}
+}
+
 // A distributed cluster of six workstations factors through the
-// sparse LU; sanity-check it against the perfect-parallelism and
-// fully-serial bounds. Its six disks are exchangeable, so the chain
-// is lumped: 75 states at level 6 instead of the C(13,6) = 1716 of
-// the full reduced space.
+// sparse LU at both of its sizes, each checked against the
+// perfect-parallelism and fully-serial bounds. Its six disks are
+// exchangeable, so the chain is lumped: 75 states at level 6. The same
+// cluster with each disk's service rate a different number of ulps
+// off has no exchangeable pair and keeps the full reduced space,
+// C(13,6) = 1716 states at level 6, and its E(T) equals the lumped
+// one's to rounding.
 func TestSparseLargeDistributed(t *testing.T) {
 	if testing.Short() {
 		t.Skip("large state space in -short mode")
 	}
 	app := workload.Default(12)
 	k := 6
-	net, err := cluster.Distributed(k, app, cluster.Dists{})
+	solve := func(t *testing.T, net *network.Network, wantD int) float64 {
+		t.Helper()
+		before := mSparseFactors.Value()
+		s := mustSolver(t, net, k)
+		if mSparseFactors.Value() == before {
+			t.Fatal("no level of the model took the sparse LU")
+		}
+		if d := s.Chain.D(k); d != wantD {
+			t.Fatalf("D(%d) = %d, want %d", k, d, wantD)
+		}
+		total, err := s.TotalTime(app.N)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lower := app.SingleTaskTime() * float64(app.N) / float64(k)
+		upper := app.SingleTaskTime() * float64(app.N)
+		if total < lower || total > upper {
+			t.Fatalf("E(T) = %v outside [%v, %v]", total, lower, upper)
+		}
+		return total
+	}
+	lumped, err := cluster.Distributed(k, app, cluster.Dists{})
 	if err != nil {
 		t.Fatal(err)
-	}
-	before := mSparseFactors.Value()
-	s := mustSolver(t, net, k)
-	if mSparseFactors.Value() == before {
-		t.Fatal("no level of the large model took the sparse LU")
 	}
 	// Level 6 lumped: Σ_c (7−c)·p(c) over the c customers at the disks,
 	// with p the partition numbers 1, 1, 2, 3, 5, 7, 11.
-	if d := s.Chain.D(k); d != 75 {
-		t.Fatalf("D(%d) = %d, want 75", k, d)
-	}
-	total, err := s.TotalTime(app.N)
+	lumpedT := solve(t, lumped, 75)
+
+	full, err := cluster.Distributed(k, app, cluster.Dists{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	lower := app.SingleTaskTime() * float64(app.N) / float64(k)
-	upper := app.SingleTaskTime() * float64(app.N)
-	if total < lower || total > upper {
-		t.Fatalf("E(T) = %v outside [%v, %v]", total, lower, upper)
+	if err := breakDiskSymmetry(full, k); err != nil {
+		t.Fatal(err)
+	}
+	// D(6) for 8 stations = C(13,6) = 1716.
+	fullT := solve(t, full, 1716)
+	if !closeRel(fullT, lumpedT, 1e-12) {
+		t.Fatalf("E(T): full chain %v, lumped %v", fullT, lumpedT)
 	}
 }

@@ -210,14 +210,6 @@ func (s *Solver) Tau(k int) []float64 {
 	return append([]float64(nil), s.levels[k].tau...)
 }
 
-// Drain returns a copy of D_k, the mean time to drain the system from
-// each state of level k with no task left to enter. The caller owns
-// the returned slice.
-func (s *Solver) Drain(k int) []float64 {
-	s.checkLevel(k)
-	return append([]float64(nil), s.levels[k].drain...)
-}
-
 func (s *Solver) checkLevel(k int) {
 	if k < 1 || k > s.K {
 		panic(fmt.Sprintf("core: level %d outside [1, %d]", k, s.K))

@@ -38,29 +38,39 @@ type splitModel struct {
 // splitModels are the families the split is held to: central and
 // distributed clusters at remote CV² 1, 4 and 10, a multi-server
 // station, and the slow-mixing truncated power tail of
-// examples/powertail, all at K = 1…8 except where the chain-size
-// guard refuses the model: distributed CV² 4 and 10 from K = 6 on,
-// distributed CV² 1 at K = 8. Under the race detector distributed
-// CV² 1 stops at K = 6, because its K = 7 chain (d_K = 6,435) takes
-// seconds to build even without the instrumentation.
+// examples/powertail, all at K = 1…8. The distributed cluster's disks
+// are exchangeable, so its chain is lumped (d_K ≤ 964 at K = 8). Each
+// distributed family has an unlumped twin whose disks differ by a few
+// ulps of service rate (breakDiskSymmetry), which keeps the large
+// levels of the full reduced space in the grid: it stops at K = 5
+// (d_K = 2,668) for CV² 4 and 10 and at K = 7 (d_K = 6,435) for CV² 1,
+// since the next level of each (d_K = 14,407 and 24,310) takes seconds
+// to build. Under the race detector the CV² 1 twin stops at K = 6.
 func splitModels() []splitModel {
 	app := workload.Default(30)
 	var ms []splitModel
 	for _, cv2 := range []float64{1, 4, 10} {
 		d := cluster.Dists{Remote: cluster.WithCV2(cv2)}
-		distK := 5
+		fullK := 5
 		if cv2 == 1 {
-			distK = 7
+			fullK = 7
 			if raceEnabled {
-				distK = 6
+				fullK = 6
 			}
 		}
 		ms = append(ms,
 			splitModel{fmt.Sprintf("central-cv%g", cv2), 8, func(k int) (*network.Network, error) {
 				return cluster.Central(k, app, d, cluster.Options{})
 			}},
-			splitModel{fmt.Sprintf("distributed-cv%g", cv2), distK, func(k int) (*network.Network, error) {
+			splitModel{fmt.Sprintf("distributed-cv%g", cv2), 8, func(k int) (*network.Network, error) {
 				return cluster.Distributed(k, app, d)
+			}},
+			splitModel{fmt.Sprintf("distributed-unlumped-cv%g", cv2), fullK, func(k int) (*network.Network, error) {
+				net, err := cluster.Distributed(k, app, d)
+				if err != nil {
+					return nil, err
+				}
+				return net, breakDiskSymmetry(net, k)
 			}})
 	}
 	tpt := func(mean float64) (*phase.PH, error) { return phase.TPT(12, 1.4, mean) }
@@ -74,10 +84,11 @@ func splitModels() []splitModel {
 // longSplitLevel is the largest level-K dimension at which the grid
 // runs a long workload, whose epochs cost O(d_K) each for both the
 // split and the reference: n = 2000 for d_K ≤ 2000 (leaving out only
-// distributed CV² 4 and 10 at K = 5, d_K = 2,668, and CV² 1 at K = 7),
-// n = 20000 for d_K ≤ 300 (through central K = 8), and under the race
-// detector, whose instrumentation slows the grid about 15×, both only
-// for d_K ≤ 30. Every level runs n ≤ 10K.
+// the unlumped distributed twins at CV² 4 and 10 at K = 5, d_K = 2,668,
+// and at CV² 1 at K = 7, d_K = 6,435), n = 20000 for d_K ≤ 300
+// (through central K = 8, lumped distributed CV² 1 at K = 8 and lumped
+// CV² 4 and 10 at K = 6), and under the race detector, whose instrumentation slows the
+// grid about 15×, both only for d_K ≤ 30. Every level runs n ≤ 10K.
 func longSplitLevel(n int) int {
 	switch {
 	case raceEnabled:

@@ -67,9 +67,10 @@ func symmetricNet(r *rand.Rand, c int, kind statespace.Kind, svc *phase.PH) *net
 }
 
 type lumpModel struct {
-	name string
-	k    int
-	net  *network.Network
+	name        string
+	k           int
+	net         *network.Network
+	distributed bool // the paper's distributed cluster
 }
 
 // lumpModels lists the networks the lumped chain is checked on: the
@@ -80,14 +81,14 @@ func lumpModels(t *testing.T, maxK int) []lumpModel {
 	var out []lumpModel
 	for _, cv2 := range []float64{1, 4, 10} {
 		for k := 1; k <= maxK; k++ {
-			out = append(out, lumpModel{fmt.Sprintf("distributed-cv%g/K=%d", cv2, k), k, distributedNet(t, k, cv2)})
+			out = append(out, lumpModel{fmt.Sprintf("distributed-cv%g/K=%d", cv2, k), k, distributedNet(t, k, cv2), true})
 		}
 	}
 	r := rand.New(rand.NewSource(7))
 	return append(out,
-		lumpModel{"queues-h2", 4, symmetricNet(r, 3, statespace.Queue, phase.MustHyperExpFit(1.5, 6))},
-		lumpModel{"delays-erlang", 4, symmetricNet(r, 3, statespace.Delay, phase.MustErlang(2, 1.2))},
-		lumpModel{"multi", 4, symmetricNet(r, 2, statespace.Multi, phase.MustExpo(0.8))})
+		lumpModel{"queues-h2", 4, symmetricNet(r, 3, statespace.Queue, phase.MustHyperExpFit(1.5, 6)), false},
+		lumpModel{"delays-erlang", 4, symmetricNet(r, 3, statespace.Delay, phase.MustErlang(2, 1.2)), false},
+		lumpModel{"multi", 4, symmetricNet(r, 2, statespace.Multi, phase.MustExpo(0.8)), false})
 }
 
 // lumpedIndex returns the lumped chain's index of a full-chain state.
@@ -160,9 +161,28 @@ func TestLumpedChainStronglyLumpable(t *testing.T) {
 	}
 }
 
-// E(T), the epoch series and the drain vectors of the lumped chain
-// equal the full chain's: distributed K ≤ 5 at CV² 1/4/10 and the
-// random symmetric networks, within 1e-12 relative.
+// drainVector returns D_k, the mean time to drain the system from each
+// state of level k with no task left to enter, given D_{k−1} (nil at
+// k = 1): D_k = τ'_k + Y_k·D_{k−1}, through the public Tau and Depart
+// on each unit vector.
+func drainVector(s *core.Solver, k int, prev []float64) []float64 {
+	d := s.Tau(k)
+	if k == 1 {
+		return d
+	}
+	e := make([]float64, len(d))
+	for i := range d {
+		e[i] = 1
+		d[i] += matrix.Dot(s.Depart(k, e), prev)
+		e[i] = 0
+	}
+	return d
+}
+
+// E(T), the epoch series and the split E(T) of the lumped chain equal
+// the full chain's, for distributed K ≤ 5 at CV² 1/4/10 and the random
+// symmetric networks, within 1e-12 relative; so do the drain vectors
+// of the random symmetric networks.
 func TestLumpedAnswersMatchFullChain(t *testing.T) {
 	maxK := 5
 	if testing.Short() {
@@ -183,8 +203,13 @@ func TestLumpedAnswersMatchFullChain(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for k := 1; k <= m.k; k++ {
-				df, dl := full.Drain(k), lumped.Drain(k)
+			// The distributed cluster's drain vectors are compared in
+			// core (TestLumpedDrainVectorsMatchFullChain), where the
+			// solver's own D_k is readable; recomputing them here costs
+			// one solve per state of levels up to 2,668 states.
+			var df, dl []float64
+			for k := 1; k <= m.k && !m.distributed; k++ {
+				df, dl = drainVector(full, k, df), drainVector(lumped, k, dl)
 				states := fullChain.Levels[k].States
 				for i, v := range df {
 					if w := dl[lumpedIndex(lumped.Chain, k, states.State(i))]; !closeRel(v, w, 1e-12) {

@@ -176,17 +176,14 @@ func (s *Space) Lumped() bool { return len(s.classes) > 0 }
 // Classes returns the lumped station classes (shared; do not modify).
 func (s *Space) Classes() [][]int { return s.classes }
 
-// segment returns the slots of station st in state.
+// segment returns the slots of station st in state: from its offset
+// to the next station's, or to the end of the vector.
 func (s *Space) segment(state []int, st int) []int {
-	w := 1
-	switch s.shapes[st].Kind {
-	case Delay:
-		w = s.shapes[st].Phases
-	case Queue:
-		w = 2
+	end := s.width
+	if st+1 < len(s.offsets) {
+		end = s.offsets[st+1]
 	}
-	off := s.offsets[st]
-	return state[off : off+w : off+w]
+	return state[s.offsets[st]:end:end]
 }
 
 // Canonicalize rewrites state in place into its orbit's canonical
